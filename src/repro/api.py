@@ -6,7 +6,7 @@ The facade has two layers:
   **handle** carrying everything about a schema that is worth paying for
   exactly once — the reduced schema, its structural fingerprint and
   cache digests, the single-type classification, the hot integer-coded
-  validation tables of the arena runner, and (lazily) the derived
+  validation tables, and (lazily) the derived
   ancestor-string guide.  The handle's methods
   (:meth:`CompiledSchema.validate`, :meth:`~CompiledSchema.approximate_upper`,
   :meth:`~CompiledSchema.approximate_lower`,
@@ -83,8 +83,9 @@ from repro.schemas.text_format import loads as _loads_schema
 from repro.schemas.type_automaton import is_single_type
 from repro.strings.kernels import _recharge
 from repro.tree_automata.inclusion import edtd_includes
+from repro.tree_automata.kernels import _tables_of, edtd_accepts_events
 from repro.trees.tree import Tree
-from repro.trees.xml_io import from_xml
+from repro.trees.xml_io import from_xml, xml_events
 
 __all__ = [
     "ApproximationResult",
@@ -442,7 +443,7 @@ class CompiledSchema:
     * ``schema`` — the original EDTD, kept alive so the integer-coded
       validation tables of :mod:`repro.tree_automata.kernels` stay hot;
     * ``_reduced`` — the reduced schema (Proviso 2.3), computed once and
-      fed to every construction and to the arena validation runner;
+      fed to every construction and to the validators;
     * ``schema_id`` — a stable content address (structural fingerprint +
       strategy), the registry/service handle name; anonymous
       (``anon:N``) when the schema is structurally uncacheable;
@@ -504,27 +505,36 @@ class CompiledSchema:
         """Validate *document* (a :class:`Tree` or an element-only XML
         fragment string) against the compiled schema.
 
-        Runs on the reduced schema's hot arena tables.  The budget's
-        deadline/cancellation is checked once before the run (validation
-        itself charges nothing); *checkpoint* is accepted for
-        keyword-surface uniformity but unused.
+        A string is validated in one pass from text to verdict: the
+        hardened tokenizer (:func:`repro.trees.xml_io.xml_events`) feeds
+        the stepwise evaluator on the reduced schema's hot tables
+        (:func:`repro.tree_automata.kernels.edtd_accepts_events`), and no
+        tree is built.  A :class:`Tree` runs through the reduced schema's
+        ``accepts``.  Either way the budget's deadline/cancellation is
+        checked before the first element and one step is charged per
+        element — for a string, as the element is read, so per-request
+        deadlines and ``max_steps`` (the service maps ``deadline_ms`` /
+        ``max_steps`` here) trip during the parse at deterministic
+        points.  *checkpoint* is accepted for keyword-surface uniformity
+        but unused.
         """
         del checkpoint  # no resumable phase
         with _FacadeCall("validate", budget, trace, self._call_cache(cache)) as call:
             with _obs.construction_span(
                 "validate", trace=call.trace, budget=call.budget
             ) as span:
-                tree = from_xml(document) if isinstance(document, str) else document
-                # Validation is linear: charge one step per node (after a
-                # deadline/cancellation check), so per-request deadlines
-                # and max_steps budgets — the service maps deadline_ms /
-                # max_steps here — have deterministic trip points.
-                call.budget.check()
-                call.budget.tick(tree.size())
-                valid = self._reduced.accepts(tree)
+                if isinstance(document, str):
+                    valid = edtd_accepts_events(
+                        self._reduced, xml_events(document, budget=call.budget)
+                    )
+                else:
+                    call.budget.check()
+                    call.budget.tick(document.size())
+                    valid = self._reduced.accepts(document)
+                usage = call.usage()
                 if span is not None:
-                    span.annotate(valid=valid, nodes=tree.size())
-            return ValidationResult(valid=valid, trace=call.trace, usage=call.usage())
+                    span.annotate(valid=valid, nodes=usage.steps)
+            return ValidationResult(valid=valid, trace=call.trace, usage=usage)
 
     def approximate_upper(
         self,
@@ -772,8 +782,6 @@ def _compile(
         # Warm the integer-coded validation tables now; they live in a
         # WeakKeyDictionary keyed by the reduced schema object, so the
         # handle keeping `reduced` alive is what keeps them hot.
-        from repro.tree_automata.kernels import _tables_of
-
         _tables_of(reduced)
     return CompiledSchema(
         schema=schema,
@@ -799,7 +807,7 @@ def compile_schema(
     :class:`CompiledSchema` handle.
 
     Pays once for reduction, the structural fingerprint / content
-    address, the single-type classification, and the integer-coded arena
+    address, the single-type classification, and the integer-coded
     validation tables; every handle method then reuses them.  *strategy*
     (``None`` = the active :class:`Settings` default) becomes the
     handle's default determinization kernel, and *cache* its default
@@ -1022,13 +1030,19 @@ def validate(
     """
     if not isinstance(schema, EDTD):
         # DTDs and other accepts()-bearing schema objects take the direct
-        # route: handles are an EDTD-only amortization.
+        # route: handles are an EDTD-only amortization.  They are charged
+        # like the handle route: a check, then one step per element.
         del checkpoint  # no resumable phase
         with _FacadeCall("validate", budget, trace, cache) as call:
             with _obs.construction_span(
                 "validate", trace=call.trace, budget=call.budget
             ) as span:
-                tree = from_xml(document) if isinstance(document, str) else document
+                if isinstance(document, str):
+                    tree = from_xml(document, budget=call.budget)
+                else:
+                    tree = document
+                    call.budget.check()
+                    call.budget.tick(tree.size())
                 valid = schema.accepts(tree)
                 if span is not None:
                     span.annotate(valid=valid, nodes=tree.size())

@@ -20,8 +20,9 @@ point                     where it fires
 ``cache.read``            artifact-cache entry read (payload: raw entry bytes)
 ``cache.write``           artifact-cache entry write (payload: raw entry bytes)
 ``cache.fsync``           artifact-cache durability barrier before publish
-``xml.ingest``            :func:`repro.trees.xml_io.from_xml` (payload: the
-                          document text)
+``xml.ingest``            :func:`repro.trees.xml_io.xml_events`, the tokenizer
+                          behind every XML reader (payload: the document
+                          text)
 ========================  =====================================================
 
 Each :class:`FaultRule` names a point (or a ``prefix.*`` glob), a mode —

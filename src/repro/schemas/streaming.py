@@ -13,16 +13,21 @@ type of every element is determined the moment its start tag arrives
     validator.finish()            # raises ValidationError on bad docs
 
 :func:`validate_events` and :func:`events_of_tree` are the functional
-conveniences; :func:`validate_xml_stream` plugs in the XML fragment reader.
+conveniences; :func:`validate_xml_stream` validates XML text through the
+shared tokenizer (:func:`repro.trees.xml_io.xml_events`) and the stepwise
+evaluator that :meth:`repro.api.CompiledSchema.validate` also runs
+(:func:`repro.tree_automata.kernels.edtd_accepts_events`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable, Iterator
 
-from repro.errors import ValidationError
+from repro.errors import TreeSyntaxError, ValidationError
 from repro.schemas.st_edtd import SingleTypeEDTD
+from repro.tree_automata.kernels import edtd_accepts_events
 from repro.trees.tree import Tree
+from repro.trees.xml_io import xml_events
 
 Symbol = Hashable
 
@@ -42,11 +47,10 @@ class StreamingValidator:
 
     def __init__(self, schema: SingleTypeEDTD) -> None:
         self._schema = schema
-        self._start_by_label = {schema.mu[t]: t for t in schema.starts}
-        self._child_type: dict = {}
-        for type_ in schema.types:
-            for occurring in schema.occurring_types(type_):
-                self._child_type[(type_, schema.mu[occurring])] = occurring
+        # The schema's own top-down typing tables (built once, at its
+        # construction): root label -> type, (parent type, label) -> type.
+        self._start_by_label = schema._start_by_label
+        self._child_type = schema._child_type
         # Stack frames: (type, content DFA, current DFA state).
         self._stack: list[list] = []
         self._seen_root = False
@@ -126,11 +130,17 @@ class StreamingValidator:
 
 
 def events_of_tree(tree: Tree) -> Iterator[Event]:
-    """The event stream of a document tree (depth-first)."""
-    yield (START, tree.label)
-    for child in tree.children:
-        yield from events_of_tree(child)
-    yield (END,)
+    """The event stream of a document tree (depth-first; iterative, so
+    arbitrarily deep documents are safe)."""
+    stack: list[Tree | None] = [tree]
+    while stack:
+        node = stack.pop()
+        if node is None:
+            yield (END,)
+            continue
+        yield (START, node.label)
+        stack.append(None)
+        stack.extend(reversed(node.children))
 
 
 def validate_events(
@@ -157,36 +167,18 @@ def validate_events(
 
 
 def validate_xml_stream(schema: SingleTypeEDTD, text: str) -> bool:
-    """Validate an XML fragment without materializing the tree."""
-    import re as _re
+    """Validate an XML fragment without materializing the tree; a
+    malformed fragment is invalid.  No depth or node cap applies: memory
+    stays proportional to the open-element depth.
 
-    token = _re.compile(
-        r"\s*(?:<(?P<open>[A-Za-z_][\w.\-]*)\s*>"
-        r"|<(?P<selfclose>[A-Za-z_][\w.\-]*)\s*/\s*>"
-        r"|</(?P<close>[A-Za-z_][\w.\-]*)\s*>)"
-    )
-    validator = StreamingValidator(schema)
-    open_labels: list[str] = []
-    pos = 0
+    Tag names are read as :func:`repro.trees.xml_io.from_xml` reads
+    them: an ASCII letter or ``_``, then ASCII letters, digits, ``_``,
+    ``.`` and ``-``.  A document whose labels use other characters (such
+    as ``é``) is malformed here, so it is invalid against every schema.
+    """
     try:
-        while pos < len(text):
-            if text[pos:].strip() == "":
-                break
-            match = token.match(text, pos)
-            if match is None:
-                return False
-            pos = match.end()
-            if match.group("open"):
-                open_labels.append(match.group("open"))
-                validator.feed((START, match.group("open")))
-            elif match.group("selfclose"):
-                validator.feed((START, match.group("selfclose")))
-                validator.feed((END,))
-            else:
-                if not open_labels or open_labels.pop() != match.group("close"):
-                    return False  # not well-formed
-                validator.feed((END,))
-        validator.finish()
-    except ValidationError:
+        return edtd_accepts_events(
+            schema, xml_events(text, max_depth=None, max_nodes=None)
+        )
+    except TreeSyntaxError:
         return False
-    return True

@@ -27,8 +27,11 @@ defaults fill the gaps).  Trips degrade, not fail:
 
 Compilation and approximation run in worker threads
 (``asyncio.to_thread``) so the event loop keeps serving while CPU-bound
-construction proceeds; single-document validation on hot tables is fast
-enough to run inline.
+construction proceeds.  Validation runs inline on the event loop: one
+pass from document text to verdict, governed per element by the
+request's budget.  That is quick for small documents, but a large one
+holds the loop for its whole parse, and requests on other connections
+wait behind it (``docs/PERFORMANCE.md`` has measurements).
 """
 
 from __future__ import annotations

@@ -30,6 +30,9 @@ never leaks into pickles) and runs the loops on int bitmasks:
 * :func:`edtd_possible_types` — EDTD bottom-up type inference on the
   arena: per-(type, content-DFA-state) chunk tables over child *type
   masks* replace the per-node Python-set subset simulation.
+* :func:`edtd_accepts_events` — the same typing run in document order
+  over tokenizer events, with candidates pruned top-down by the parent's
+  live content-DFA states: one pass from XML text to verdict, no tree.
 * structural-hash memo caches (:func:`cached_bta_determinize`,
   :func:`cached_bta_from_edtd`, and the ``edtd_includes`` verdict cache
   in :mod:`repro.tree_automata.inclusion`) with recorded-cost budget
@@ -46,6 +49,7 @@ for the coding scheme and measured speedups (``BENCH_trees.json``).
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from collections.abc import Hashable, Iterable
 from dataclasses import dataclass
@@ -64,6 +68,7 @@ from repro.strings.kernels import (
     canonical_repr,
     _symbol_reprs,
 )
+from repro.trees.xml_io import CLOSE, OPEN
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy
     from repro.schemas.edtd import EDTD as _EDTD
@@ -757,13 +762,34 @@ def bta_accepts(bta: "_BTA", tree: "_Tree") -> bool:
 # EDTD validation on the arena
 # ----------------------------------------------------------------------
 
+#: Configuration of the root's virtual parent in the stepwise evaluator
+#: (:func:`edtd_accepts_events`): pseudo-type -1, whose content model is
+#: "exactly one start-typed root".  DFA state bit 1 awaits the root; bit
+#: 2 means an accepted root has closed.
+_DOCUMENT: tuple[int, ...] = (-1, 1)
+_ACCEPTED: tuple[int, ...] = (-1, 2)
+
+#: Cap on the stepwise evaluator's remembered transitions per schema, so
+#: hostile documents against a general EDTD cannot grow a hot handle's
+#: tables without bound; past it, transitions are recomputed instead.
+_STEP_MEMO_CAP = 1 << 16
+
+
 class _EDTDTables:
-    """Per-EDTD typing tables for arena-based bottom-up type inference.
+    """Per-EDTD typing tables for arena-based bottom-up type inference
+    and for the stepwise evaluator :func:`edtd_accepts_events`.
 
     Types are bit indices; per type, the content DFA's states are bit
     indices too, and the subset simulation over a child's *type mask*
     is served by a per-(type, DFA state) chunk table (same chain-fill
     scheme as :class:`_BTACoding`).
+
+    The stepwise evaluator tracks one *configuration* per open element:
+    a flat tuple ``(type, dfa_states, type, dfa_states, ...)`` of its
+    live candidate types in increasing order, each with the mask of
+    content-DFA states its children so far reach; ``()`` means no
+    candidate is left.  Its transitions are computed lazily and
+    remembered in ``opens[parent][label]`` and ``closes[parent][child]``.
     """
 
     __slots__ = (
@@ -777,7 +803,11 @@ class _EDTDTables:
         "dfa_finals",
         "dfa_size",
         "rows",
+        "opens",
+        "closes",
         "_tabs",
+        "_child_masks",
+        "_tickets",
         "__weakref__",
     )
 
@@ -796,6 +826,10 @@ class _EDTDTables:
         #: rows[type_index][dfa_state] -> list over type bits of dst masks.
         self.rows: list[list[list[int]]] = [[] for _ in range(ntypes)]
         self._tabs: dict[tuple[int, int], list[dict[int, int]]] = {}
+        self.opens: dict[tuple[int, ...], dict[Symbol, tuple[int, ...]]] = {}
+        self.closes: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+        self._child_masks: dict[tuple[int, int], int] = {}
+        self._tickets = itertools.count()
         for type_index, type_ in enumerate(types):
             label = edtd.mu[type_]
             type_bit = 1 << type_index
@@ -856,6 +890,77 @@ class _EDTDTables:
                 remaining >>= 16
                 chunk_index += 1
         return total
+
+    def _child_mask(self, type_index: int, dfa_state: int) -> int:
+        """The child types type ``type_index``'s content DFA can step on
+        from ``dfa_state``."""
+        key = (type_index, dfa_state)
+        mask = self._child_masks.get(key)
+        if mask is None:
+            mask = 0
+            for child, targets in enumerate(self.rows[type_index][dfa_state]):
+                if targets:
+                    mask |= 1 << child
+            self._child_masks[key] = mask
+        return mask
+
+    def _remember(
+        self, table: dict[Any, dict[Any, Any]], key: Any, inner: Any, value: Any
+    ) -> None:
+        # Handles are shared across threads.  Each entry takes a ticket;
+        # ``next`` on an ``itertools.count`` is a single C call, atomic
+        # under the GIL, so the cap holds without a lock.
+        if next(self._tickets) < _STEP_MEMO_CAP:
+            table.setdefault(key, {})[inner] = value
+
+    def open_child(self, parent: tuple[int, ...], label: Symbol) -> tuple[int, ...]:
+        """Configuration of a *label* element opened under *parent*: the
+        label's types that some live DFA state of *parent* can step on,
+        each at its content DFA's initial state."""
+        allowed = 0
+        for index in range(0, len(parent), 2):
+            type_index, states = parent[index], parent[index + 1]
+            if type_index < 0:  # the document, before or after its root
+                allowed |= self.start_mask if states == 1 else 0
+                continue
+            while states:  # ungoverned: bit-scan bounded by the DFA size
+                low = states & -states
+                states ^= low
+                allowed |= self._child_mask(type_index, low.bit_length() - 1)
+        candidates = self.by_label.get(label, 0) & allowed
+        child: list[int] = []
+        while candidates:  # ungoverned: bit-scan bounded by the type count
+            low = candidates & -candidates
+            candidates ^= low
+            type_index = low.bit_length() - 1
+            child += (type_index, self.dfa_initial[type_index])
+        config = tuple(child)
+        if label in self.by_label:  # any string can be a foreign label
+            self._remember(self.opens, parent, label, config)
+        return config
+
+    def close_child(self, parent: tuple[int, ...], child: tuple[int, ...]) -> tuple[int, ...]:
+        """*parent*'s configuration once its child in configuration
+        *child* closes: the child's type mask (its candidates in a final
+        DFA state) steps every live parent type, and parent types left
+        with no DFA state drop out."""
+        closed = 0
+        for index in range(0, len(child), 2):
+            type_index = child[index]
+            if child[index + 1] & self.dfa_finals[type_index]:
+                closed |= 1 << type_index
+        advanced: list[int] = []
+        for index in range(0, len(parent), 2):
+            type_index, states = parent[index], parent[index + 1]
+            if type_index < 0:
+                states = 2 if states == 1 and closed else 0
+            else:
+                states = self.content_step(type_index, states, closed)
+            if states:
+                advanced += (type_index, states)
+        config = tuple(advanced)
+        self._remember(self.closes, parent, child, config)
+        return config
 
     def matches(self, type_index: int, child_masks: list[int], start: int, count: int) -> bool:
         """Does some choice of child types drive the content DFA of type
@@ -921,6 +1026,60 @@ def edtd_accepts(edtd: "_EDTD", tree: "_Tree") -> bool:
     """Arena-based acceptance: start-types intersection on the root mask."""
     tables, result = edtd_type_masks(edtd, tree)
     return bool(result[0] & tables.start_mask)
+
+
+def edtd_accepts_events(edtd: "_EDTD", events: Iterable[tuple[str, Symbol]]) -> bool:
+    """One-pass acceptance of a document given as tag events — the
+    :func:`repro.trees.xml_io.xml_events` stream — in O(depth) memory,
+    with no tree built.
+
+    At a start tag the element's candidate types are its label's types,
+    narrowed to those its parent's live content-DFA states can step on
+    (the root's to the start types); at its end tag the candidates in a
+    final DFA state form its type mask, which steps the parent (see
+    :meth:`_EDTDTables.open_child` / :meth:`_EDTDTables.close_child`).
+    On a single-type EDTD every element has at most one candidate, so
+    this is the paper's one-pass top-down validator; on a general EDTD
+    it is the subset simulation of :func:`edtd_type_masks`, run in
+    document order.  The narrowing never changes a verdict: a type no
+    live parent state can step on contributes nothing to the parent's
+    step.
+
+    *events* must be well formed, as ``xml_events`` guarantees by
+    raising.  Once no candidate is left the verdict is ``False``, but
+    the rest of the stream is still read, so a malformed document still
+    raises and every element is still charged.
+    """
+    tables = _tables_of(edtd)
+    opens, closes = tables.opens, tables.closes
+    stack: list[tuple[int, ...]] = []
+    top = _DOCUMENT
+    stream = iter(events)
+    for kind, label in stream:
+        if kind == CLOSE:
+            parent = stack.pop()
+            try:
+                top = closes[parent][top]
+            except KeyError:
+                top = tables.close_child(parent, top)
+        else:
+            try:
+                child = opens[top][label]
+            except KeyError:
+                child = tables.open_child(top, label)
+            if kind == OPEN:
+                stack.append(top)
+                top = child
+            else:
+                try:
+                    top = closes[top][child]
+                except KeyError:
+                    top = tables.close_child(top, child)
+        if not top:
+            for _ in stream:  # the verdict is known; read on for the checks
+                pass
+            return False
+    return top == _ACCEPTED
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,8 @@ from repro.families.random_schemas import random_single_type_edtd
 from repro.schemas.edtd import EDTD
 from repro.schemas.st_edtd import SingleTypeEDTD
 from repro.trees.generate import enumerate_all_trees, sample_tree
-from repro.trees.tree import Tree, parse_tree
+from repro.trees.tree import parse_tree
+from tests.strategies import mutate_tree
 
 
 class TestConstruction:
@@ -102,19 +103,11 @@ class TestTopDownValidation:
                 tree = sample_tree(schema, rng, target_size=12)
                 assert schema.validate_top_down(tree)
                 assert bottom_up.accepts(tree)
-                # Mutate a label and cross-check both algorithms agree.
-                mutated = _mutate(tree, rng, sorted(schema.alphabet))
+                # Mutate a node and cross-check both algorithms agree.
+                mutated = mutate_tree(tree, rng, sorted(schema.alphabet))
                 assert schema.validate_top_down(mutated) == bottom_up.accepts(
                     mutated
                 ), mutated
-
-
-def _mutate(tree: Tree, rng: random.Random, labels: list) -> Tree:
-    paths = list(tree.dom())
-    path = paths[rng.randrange(len(paths))]
-    new_label = rng.choice(labels)
-    node = tree.subtree(path)
-    return tree.replace_at(path, Tree(new_label, node.children))
 
 
 class TestTypeOf:

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ValidationError
 from repro.families.random_schemas import random_single_type_edtd
+from repro.schemas.st_edtd import SingleTypeEDTD
 from repro.schemas.streaming import (
     END,
     START,
@@ -17,7 +18,9 @@ from repro.schemas.streaming import (
     validate_xml_stream,
 )
 from repro.trees.generate import sample_tree
-from repro.trees.tree import Tree, parse_tree
+from repro.trees.tree import parse_tree, unary_tree
+from repro.trees.xml_io import to_xml
+from tests.strategies import mutate_tree
 
 
 class TestEventsOfTree:
@@ -40,6 +43,10 @@ class TestEventsOfTree:
         assert sum(1 for e in events if e[0] == START) == sum(
             1 for e in events if e[0] == END
         )
+
+    def test_deep_tree_does_not_recurse(self):
+        events = list(events_of_tree(unary_tree(["a"] * 5000)))
+        assert events == [(START, "a")] * 5000 + [(END,)] * 5000
 
 
 class TestStreamingValidator:
@@ -69,10 +76,14 @@ class TestStreamingValidator:
             for _ in range(8):
                 tree = sample_tree(schema, rng, target_size=12)
                 assert validate_events(schema, events_of_tree(tree))
-                mutated = _mutate(tree, rng, sorted(schema.alphabet))
+                mutated = mutate_tree(tree, rng, sorted(schema.alphabet))
                 assert validate_events(
                     schema, events_of_tree(mutated)
                 ) == schema.accepts(mutated), (seed, mutated)
+                for document in (tree, mutated):
+                    assert validate_xml_stream(schema, to_xml(document)) == (
+                        schema.validate_top_down(document)
+                    ), (seed, document)
 
     def test_fails_eagerly_on_bad_root(self, store_schema):
         validator = StreamingValidator(store_schema)
@@ -142,9 +153,24 @@ class TestXmlStream:
     def test_garbage(self, store_schema):
         assert not validate_xml_stream(store_schema, "<store>text</store>")
 
+    def test_labels_are_ascii(self):
+        # Tag names follow the shared tokenizer: a non-ASCII letter makes
+        # the document malformed, even where the schema's label has one.
+        for label, valid in (("abe", True), ("ab\u00e9", False)):
+            leaf = SingleTypeEDTD(
+                alphabet={label}, types={"t"}, rules={"t": "~"}, starts={"t"}, mu={"t": label}
+            )
+            assert validate_xml_stream(leaf, f"<{label}/>") is valid
 
-def _mutate(tree: Tree, rng: random.Random, labels: list) -> Tree:
-    paths = list(tree.dom())
-    path = paths[rng.randrange(len(paths))]
-    node = tree.subtree(path)
-    return tree.replace_at(path, Tree(rng.choice(labels), node.children))
+    def test_no_depth_cap(self):
+        chain = SingleTypeEDTD(
+            alphabet={"a"}, types={"t"}, rules={"t": "t?"}, starts={"t"}, mu={"t": "a"}
+        )
+        # Deeper than from_xml's default cap of 200: streaming memory is
+        # proportional to the depth anyway.
+        assert validate_xml_stream(chain, "<a>" * 500 + "</a>" * 500)
+
+    def test_validator_shares_the_schema_tables(self, store_schema):
+        validator = StreamingValidator(store_schema)
+        assert validator._start_by_label is store_schema._start_by_label
+        assert validator._child_type is store_schema._child_type

@@ -2,7 +2,8 @@
 
 One home for the generators that used to live per-suite (random regexes,
 layered single-type EDTDs, tree/XML fuzz soup), plus the schema-guided
-determinization pairs used by the differential harness.
+determinization pairs used by the differential harness and the tree
+mutation (:func:`mutate_tree`) the validator cross-checks share.
 
 Size profiles
 -------------
@@ -21,6 +22,7 @@ Suites call :func:`examples` with their smoke-sized count::
 from __future__ import annotations
 
 import os
+import random
 
 from hypothesis import strategies as st
 
@@ -236,6 +238,24 @@ trees = st.recursive(
     ),
     max_leaves=25,
 )
+
+
+def mutate_tree(tree: Tree, rng: random.Random, labels: list) -> Tree:
+    """Relabel, drop or duplicate one node of *tree* (often leaving the
+    schema's language); the root is only ever relabelled."""
+    paths = list(tree.dom())
+    path = paths[rng.randrange(len(paths))]
+    node = tree.subtree(path)
+    action = rng.randrange(3)
+    if action == 0 or not path:
+        return tree.replace_at(path, Tree(rng.choice(labels), node.children))
+    parent = tree.subtree(path[:-1])
+    children = list(parent.children)
+    if action == 1:
+        del children[path[-1]]
+    else:
+        children.insert(path[-1], node)
+    return tree.replace_at(path[:-1], Tree(parent.label, children))
 
 # Hostile soup: markup shards that tend to reach deep into the tokenizer.
 _SHARDS = st.sampled_from(
