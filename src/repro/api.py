@@ -5,9 +5,8 @@ The facade has two layers:
 * :func:`compile_schema` produces a frozen :class:`CompiledSchema`
   **handle** carrying everything about a schema that is worth paying for
   exactly once — the reduced schema, its structural fingerprint and
-  cache digests, the single-type classification, the hot integer-coded
-  validation tables, and (lazily) the derived
-  ancestor-string guide.  The handle's methods
+  cache digests, the single-type classification and the hot
+  integer-coded validation tables.  The handle's methods
   (:meth:`CompiledSchema.validate`, :meth:`~CompiledSchema.approximate_upper`,
   :meth:`~CompiledSchema.approximate_lower`,
   :meth:`~CompiledSchema.definability`, :meth:`~CompiledSchema.includes`,
@@ -44,8 +43,7 @@ procedures behind a uniform contract:
 
 Facade-wide defaults live in the frozen :class:`Settings` dataclass,
 installed for a dynamic extent with :func:`configured` or process-wide
-with :func:`configure` (the legacy ``configure(**kwargs)`` grab-bag form
-still works behind a :class:`DeprecationWarning`).
+with :func:`configure`.
 
 Results are frozen dataclasses: :class:`ApproximationResult`,
 :class:`InclusionResult`, :class:`ValidationResult`,
@@ -59,10 +57,9 @@ from __future__ import annotations
 import contextvars
 import itertools
 import threading
-import warnings
 import weakref
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro import cache as _cache
@@ -192,31 +189,11 @@ def configured(settings: Settings) -> Iterator[Settings]:
         _AMBIENT_SETTINGS.reset(token)
 
 
-def configure(settings: Settings | None = None, **kwargs: Any) -> Settings | None:
-    """Install (or clear, with no arguments) the process-default
-    :class:`Settings`.  Returns the previous default so callers can
-    restore it.
-
-    The modern form takes a frozen :class:`Settings`
-    (``configure(Settings(timeout=5.0))``).  The legacy grab-bag keyword
-    form (``configure(timeout=5.0, cache=store)``) still works — the
-    keywords are folded onto the current default — but emits a
-    :class:`DeprecationWarning`; new code should construct a
-    :class:`Settings` explicitly or use :func:`configured`.
-    """
+def configure(settings: Settings | None = None) -> Settings | None:
+    """Install (or clear, with no argument) the process-default
+    :class:`Settings` (``configure(Settings(timeout=5.0))``).  Returns the
+    previous default so callers can restore it."""
     global _DEFAULT_SETTINGS
-    if kwargs:
-        warnings.warn(
-            "configure(**kwargs) is deprecated; pass a frozen Settings "
-            "instance (configure(Settings(...))) or use the "
-            "configured(settings) context manager",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        base = settings
-        if base is None:
-            base = _DEFAULT_SETTINGS if _DEFAULT_SETTINGS is not None else Settings()
-        settings = replace(base, **kwargs)
     previous = _DEFAULT_SETTINGS
     _DEFAULT_SETTINGS = settings
     return previous
@@ -450,8 +427,7 @@ class CompiledSchema:
     * ``_key`` — the structural fingerprint backing every whole-schema
       disk digest, so repeat approximation calls hash a tiny tuple
       instead of re-walking the schema;
-    * ``strategy`` — the default determinization kernel for this handle;
-    * the derived ancestor-string :attr:`guide` (lazy, memoized).
+    * ``strategy`` — the default determinization kernel for this handle.
 
     Methods mirror the module-level facade functions and return the same
     frozen result objects with the same governed keyword surface.
@@ -464,23 +440,8 @@ class CompiledSchema:
     _key: Any = field(repr=False)
     _is_single_type: bool = field(repr=False)
     _cache: "_cache.CacheArg" = field(repr=False)
-    _extras: dict = field(default_factory=dict, repr=False)
 
     # -- derived artifacts ---------------------------------------------
-
-    @property
-    def guide(self) -> Any:
-        """The schema's ancestor-string guide DFA
-        (:func:`repro.schemas.type_automaton.ancestor_guide` of the
-        reduced schema), derived on first use and memoized on the
-        handle."""
-        dfa = self._extras.get("guide")
-        if dfa is None:
-            from repro.schemas.type_automaton import ancestor_guide
-
-            dfa = ancestor_guide(self._reduced)
-            self._extras["guide"] = dfa
-        return dfa
 
     @property
     def is_single_type(self) -> bool:

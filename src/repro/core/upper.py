@@ -42,12 +42,18 @@ from repro.strings.schema_guided import cached_guided_min_dfa, universal_guide
 from repro.strings.nfa import NFA
 
 
-def _as_guide_dfa(guide):
+def _as_guide_dfa(guide, budget):
     """Coerce a ``guide=`` argument to a DFA: EDTDs become their
-    valid-ancestor-string prefix machine (:func:`ancestor_guide`); DFAs
-    (and None) pass through."""
+    valid-ancestor-string prefix machine (:func:`ancestor_guide`, built
+    under *budget*); DFAs (and None) pass through."""
     if guide is not None and isinstance(guide, EDTD):
-        return ancestor_guide(guide)
+        try:
+            return ancestor_guide(guide, budget=budget)
+        except BudgetExceededError as error:
+            # The checkpoint belongs to the guide's own determinization,
+            # not the guided run — it must not be fed back into a resume.
+            error.checkpoint = None
+            raise
     return guide
 
 
@@ -123,7 +129,7 @@ def minimal_upper_approximation(
             budget=budget,
             checkpoint=checkpoint,
             strategy=strategy,
-            guide=_as_guide_dfa(guide),
+            guide=_as_guide_dfa(guide, budget),
         )
 
         rules: dict[frozenset, object] = {}

@@ -19,7 +19,6 @@ from repro.strings.derivatives import derivative, dfa_from_regex, matches, norma
 from repro.strings.determinize import determinize
 from repro.strings.dfa import DFA
 from repro.strings.glushkov import glushkov_nfa, is_deterministic_expression
-from repro.strings.hopcroft import hopcroft_minimize
 from repro.strings.kernels import (
     cache_stats,
     cached_min_dfa,
@@ -88,7 +87,6 @@ __all__ = [
     "enumerate_words",
     "equivalent",
     "glushkov_nfa",
-    "hopcroft_minimize",
     "hopcroft_refine",
     "includes",
     "is_deterministic_expression",

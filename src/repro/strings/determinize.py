@@ -81,57 +81,39 @@ def determinize(
     :func:`determinize_reference` (same frozenset format, same charge
     sequence).
 
-    *strategy* selects the kernel: ``"blind"`` (the default) explores
+    *strategy* selects the pruning: ``"blind"`` (the default) explores
     every reachable subset; ``"schema-guided"`` prunes the BFS with a
     *guide* DFA (:mod:`repro.strings.schema_guided`) so subsets
-    unreachable under the guiding schema are never materialized.  With
-    ``guide=None`` the guided kernel uses the universal guide and
-    reproduces the blind construction state-for-state.  Guided runs
-    checkpoint with :class:`~repro.strings.schema_guided.SchemaGuidedCheckpoint`
-    (same observable contract).
-
-    Since PR 2 the BFS runs on the integer-coded bitmask kernel
-    (:func:`repro.strings.kernels.subset_construction`); subset states
-    are interned int masks and the frozenset views are reconstructed only
-    at this API boundary.
+    unreachable under the guiding schema are never materialized.  Both
+    run one governed loop on integer-coded bitmask subsets: blind
+    determinization *is* guided determinization with no guide, one guide
+    state that reads every symbol, so ``guide=None`` reproduces the blind
+    construction state-for-state.  Guided runs checkpoint with
+    :class:`~repro.strings.schema_guided.SchemaGuidedCheckpoint` (same
+    observable contract); a checkpoint of the other strategy's type
+    raises :class:`~repro.errors.AutomatonError`.  Ungoverned blind runs
+    may take the numpy fast path of
+    :func:`repro.strings.kernels.subset_construction`.
     """
-    if strategy == "blind":
-        if guide is not None:
-            raise AutomatonError(
-                "guide= requires strategy='schema-guided' (got strategy='blind')"
-            )
-        from repro.strings.kernels import subset_construction
-
-        if checkpoint is not None and not isinstance(checkpoint, SubsetCheckpoint):
-            raise AutomatonError(
-                "strategy='blind' resumes from SubsetCheckpoint, "
-                f"not {type(checkpoint).__name__}"
-            )
-        return subset_construction(
-            nfa, keep_empty=keep_empty, budget=budget, checkpoint=checkpoint
+    if strategy not in ("blind", "schema-guided"):
+        raise AutomatonError(
+            f"unknown determinization strategy {strategy!r} "
+            "(expected 'blind' or 'schema-guided')"
         )
     if strategy == "schema-guided":
-        from repro.strings.schema_guided import (
-            SchemaGuidedCheckpoint,
-            guided_subset_construction,
-            universal_guide,
-        )
+        from repro.strings.schema_guided import guided_subset_construction
 
-        if checkpoint is not None and not isinstance(
-            checkpoint, SchemaGuidedCheckpoint
-        ):
-            raise AutomatonError(
-                "strategy='schema-guided' resumes from SchemaGuidedCheckpoint, "
-                f"not {type(checkpoint).__name__}"
-            )
-        if guide is None:
-            guide = universal_guide(nfa.alphabet)
         return guided_subset_construction(
             nfa, guide, keep_empty=keep_empty, budget=budget, checkpoint=checkpoint
         )
-    raise AutomatonError(
-        f"unknown determinization strategy {strategy!r} "
-        "(expected 'blind' or 'schema-guided')"
+    if guide is not None:
+        raise AutomatonError(
+            "guide= requires strategy='schema-guided' (got strategy='blind')"
+        )
+    from repro.strings.kernels import subset_construction
+
+    return subset_construction(
+        nfa, keep_empty=keep_empty, budget=budget, checkpoint=checkpoint
     )
 
 

@@ -13,7 +13,9 @@ loops on ints:
   resume and the upper approximation's merged-type inspection keep
   working unchanged.  Ungoverned runs on NFAs with <= 63 states take a
   numpy-vectorized level-BFS fast path when numpy is importable (the
-  kernels degrade gracefully to the scalar loop without it).
+  kernels degrade gracefully to the scalar loop without it).  The scalar
+  loop is the schema-guided one of :mod:`repro.strings.schema_guided`
+  with no guide.
 * :func:`hopcroft_refine` — Hopcroft's O(n log n) "smaller half"
   partition refinement, generalized to arbitrary initial partitions so
   it can replace the quadratic Moore loop behind both
@@ -48,6 +50,7 @@ from repro.runtime.budget import Budget, budget_phase, resolve_budget
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy
     from repro.strings.determinize import SubsetCheckpoint
+    from repro.strings.schema_guided import SchemaGuidedCheckpoint
     from repro.strings.dfa import DFA as _DFA
     from repro.strings.nfa import NFA as _NFA
 
@@ -256,12 +259,79 @@ def _subset_fast_inner(
 # Subset construction on bitmasks
 # ----------------------------------------------------------------------
 
+def _code_nfa(
+    nfa: "_NFA",
+) -> tuple[list[State], dict[State, int], list[Hashable], list[list[int]], int, int]:
+    """``(order, code, symbols, succ, initial_mask, finals_mask)`` of *nfa*.
+
+    States are bit indices in ``repr`` order and symbols are sorted by
+    ``repr``; ``succ[sym_index][state_index]`` is the successor mask.
+    """
+    order, code = _code_states(nfa.states)
+    symbols = sorted(nfa.alphabet, key=repr)
+    succ: list[list[int]] = [[0] * len(order) for _ in symbols]
+    for sym_index, symbol in enumerate(symbols):
+        row = succ[sym_index]
+        for state, index in code.items():
+            targets = nfa.transitions.get((state, symbol))
+            if targets:
+                row[index] = _mask_of(targets, code)
+    return (
+        order,
+        code,
+        symbols,
+        succ,
+        _mask_of(nfa.initials, code),
+        _mask_of(nfa.finals, code),
+    )
+
+
+def _mask_views(
+    order: list[State], masks: Iterable[int], nchunks: int
+) -> dict[int, frozenset[State]]:
+    """Interned ``mask -> frozenset`` views of the distinct *masks*
+    (chunk-level frozensets are shared, so member hashes are reused
+    instead of recomputed)."""
+    empty: frozenset[State] = frozenset()
+    member_tab: list[dict[int, frozenset[State]]] = [
+        {0: empty} for _ in range(nchunks)
+    ]
+    views: dict[int, frozenset[State]] = {}
+    for mask in masks:
+        parts = None
+        rest = mask
+        chunk_index = 0
+        while rest:  # ungoverned: bit-scan bounded by the coded state count
+            chunk = rest & 0xFFFF
+            if chunk:
+                table = member_tab[chunk_index]
+                part = table.get(chunk)
+                if part is None:
+                    stack = []
+                    value = chunk
+                    while part is None:
+                        stack.append(value)
+                        value ^= value & -value
+                        part = table.get(value)
+                    base = chunk_index << 4
+                    while stack:  # ungoverned: chain-fill bounded by 16 bits
+                        value = stack.pop()
+                        low = value & -value
+                        part = part | {order[base + low.bit_length() - 1]}
+                        table[value] = part
+                parts = part if parts is None else parts | part
+            rest >>= 16
+            chunk_index += 1
+        views[mask] = empty if parts is None else parts
+    return views
+
+
 def subset_construction(
     nfa: "_NFA",
     *,
     keep_empty: bool = False,
     budget: Budget | None = None,
-    checkpoint: "SubsetCheckpoint | None" = None,
+    checkpoint: "SubsetCheckpoint | SchemaGuidedCheckpoint | None" = None,
 ) -> "_DFA":
     """Bitmask subset construction; same contract as
     :func:`repro.strings.determinize.determinize`.
@@ -274,34 +344,18 @@ def subset_construction(
     steps per expanded subset, flushed every ``_FLUSH`` steps — so
     checkpoints and exhaustion counts are interchangeable with
     :func:`~repro.strings.determinize.determinize_reference`.
+
+    The scalar loop is the schema-guided one
+    (:func:`repro.strings.schema_guided.guided_subset_construction`) with
+    no guide: one guide state that reads every symbol, so blind
+    determinization is guided determinization under the universal
+    schema, and charging and checkpointing live in that one loop.
     """
+    from repro.strings.schema_guided import _guided_scalar, _universal_rows
+
     budget = resolve_budget(budget)
-    order, code = _code_states(nfa.states)
-    symbols = sorted(nfa.alphabet, key=repr)
-    fanout = len(symbols)
-    # succ[sym_index][state_index] -> bitmask of successor states.
-    succ: list[list[int]] = [[0] * len(order) for _ in symbols]
-    for sym_index, symbol in enumerate(symbols):
-        row = succ[sym_index]
-        for state, index in code.items():
-            targets = nfa.transitions.get((state, symbol))
-            if targets:
-                row[index] = _mask_of(targets, code)
-
-    # Lazily-filled 16-bit chunk tables: step_tab[sym][chunk] maps a
-    # 16-bit slice of a subset mask to the OR of the successor masks of
-    # the states in that slice, so one step costs ~ceil(n/16) table
-    # lookups instead of one per set bit.  Tables fill on demand via the
-    # chain t[v] = t[v without lowest bit] | row[lowest bit], one O(1)
-    # entry per distinct chunk value ever seen.
-    nchunks = ((len(order) + 15) >> 4) or 1
-    step_tab: list[list[dict[int, int]]] = [
-        [{0: 0} for _ in range(nchunks)] for _ in symbols
-    ]
-
-    initial_mask = _mask_of(nfa.initials, code)
-    finals_mask = _mask_of(nfa.finals, code)
-
+    coding = _code_nfa(nfa)
+    order, _code, symbols, succ, initial_mask, finals_mask = coding
     fast = (
         budget is None
         and checkpoint is None
@@ -323,9 +377,9 @@ def subset_construction(
                 nfa, keep_empty, order, symbols, succ, initial_mask, finals_mask
             )
         else:
-            dfa = _subset_scalar(
-                nfa, keep_empty, budget, checkpoint, order, code, symbols,
-                fanout, succ, step_tab, nchunks, initial_mask, finals_mask,
+            dfa = _guided_scalar(
+                nfa, coding, None, _universal_rows(len(symbols)),
+                keep_empty, budget, checkpoint,
             )
         if span is not None:
             span.annotate(dfa_states=len(dfa.states))
@@ -333,149 +387,6 @@ def subset_construction(
             _obs.METRICS.counter("determinize.runs").inc()
             _obs.METRICS.histogram("determinize.dfa_states").observe(len(dfa.states))
     return dfa
-
-
-def _subset_scalar(
-    nfa: "_NFA",
-    keep_empty: bool,
-    budget: Budget | None,
-    checkpoint: "SubsetCheckpoint | None",
-    order: list[State],
-    code: dict[State, int],
-    symbols: list[Hashable],
-    fanout: int,
-    succ: list[list[int]],
-    step_tab: list[list[dict[int, int]]],
-    nchunks: int,
-    initial_mask: int,
-    finals_mask: int,
-) -> "_DFA":
-    """The governed scalar subset loop (see :func:`subset_construction`)."""
-    from repro.strings.determinize import SubsetCheckpoint
-    from repro.strings.dfa import DFA
-
-    if checkpoint is None:
-        seen: set[int] = {initial_mask}
-        trans: dict[tuple[int, int], int] = {}
-        queue: deque[int] = deque([initial_mask])
-        if budget is not None:
-            budget.charge_states(1, frontier=1)
-    else:
-        seen = {_mask_of(subset, code) for subset in checkpoint.states}
-        trans = {
-            (_mask_of(subset, code), symbols.index(symbol)): _mask_of(target, code)
-            for (subset, symbol), target in checkpoint.transitions
-        }
-        queue = deque(_mask_of(subset, code) for subset in checkpoint.frontier)
-
-    with budget_phase(budget, "determinize"):
-        if budget is not None:
-            cursor = [initial_mask]
-
-            def snapshot() -> SubsetCheckpoint:
-                # Decoded lazily, only at trip time; *cursor* is re-enqueued
-                # so resumption recomputes at most |alphabet| idempotent
-                # transitions.
-                return SubsetCheckpoint(
-                    states=frozenset(_unmask(m, order) for m in seen),
-                    transitions=tuple(
-                        ((_unmask(src, order), symbols[s]), _unmask(dst, order))
-                        for (src, s), dst in trans.items()
-                    ),
-                    frontier=tuple(
-                        _unmask(m, order) for m in (cursor[0], *queue)
-                    ),
-                )
-
-            tick, charge_states = budget.tick, budget.charge_states
-            pending = 0
-        sym_range = range(fanout)
-        while queue:
-            mask = queue.popleft()
-            if budget is not None:
-                cursor[0] = mask
-                pending += fanout
-                if pending >= _FLUSH:
-                    tick(pending, len(queue), snapshot)
-                    pending = 0
-            for sym_index in sym_range:
-                row = succ[sym_index]
-                tabs = step_tab[sym_index]
-                target = 0
-                rest = mask
-                chunk_index = 0
-                while rest:
-                    chunk = rest & 0xFFFF
-                    if chunk:
-                        table = tabs[chunk_index]
-                        part = table.get(chunk)
-                        if part is None:
-                            stack = []
-                            value = chunk
-                            while part is None:
-                                stack.append(value)
-                                value ^= value & -value
-                                part = table.get(value)
-                            base = chunk_index << 4
-                            while stack:
-                                value = stack.pop()
-                                low = value & -value
-                                part |= row[base + low.bit_length() - 1]
-                                table[value] = part
-                        target |= part
-                    rest >>= 16
-                    chunk_index += 1
-                if not target and not keep_empty:
-                    continue
-                trans[(mask, sym_index)] = target
-                if target not in seen:
-                    seen.add(target)
-                    queue.append(target)
-                    if budget is not None:
-                        charge_states(1, len(queue), snapshot)
-        if budget is not None and pending:
-            budget.tick(pending, 0)
-
-    # API boundary: reconstruct frozenset views.  Chunk-level frozensets
-    # are interned and combined with set union, which reuses the stored
-    # element hashes instead of rehashing every member of every subset.
-    empty: frozenset[Hashable] = frozenset()
-    member_tab: list[dict[int, frozenset]] = [{0: empty} for _ in range(nchunks)]
-    views: dict[int, frozenset] = {}
-    for mask in seen:
-        parts = None
-        rest = mask
-        chunk_index = 0
-        while rest:
-            chunk = rest & 0xFFFF
-            if chunk:
-                table = member_tab[chunk_index]
-                part = table.get(chunk)
-                if part is None:
-                    stack = []
-                    value = chunk
-                    while part is None:
-                        stack.append(value)
-                        value ^= value & -value
-                        part = table.get(value)
-                    base = chunk_index << 4
-                    while stack:
-                        value = stack.pop()
-                        low = value & -value
-                        part = part | {order[base + low.bit_length() - 1]}
-                        table[value] = part
-                parts = part if parts is None else parts | part
-            rest >>= 16
-            chunk_index += 1
-        views[mask] = empty if parts is None else parts
-    transitions = {
-        (views[src], symbols[sym_index]): views[dst]
-        for (src, sym_index), dst in trans.items()
-    }
-    finals = [views[mask] for mask in seen if mask & finals_mask]
-    return DFA._from_parts(
-        views.values(), nfa.alphabet, transitions, views[initial_mask], finals
-    )
 
 
 # ----------------------------------------------------------------------

@@ -45,19 +45,24 @@ with :class:`~repro.strings.determinize.SubsetCheckpoint`).
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 from typing import TYPE_CHECKING, Any
 
 from repro import observability as _obs
 from repro.errors import AutomatonError
 from repro.runtime.budget import Budget, budget_phase, resolve_budget
+from repro.strings.determinize import SubsetCheckpoint
+from repro.strings.dfa import DFA
 from repro.strings.kernels import (
     _FLUSH,
     _KernelCache,
-    _code_states,
+    _code_nfa,
     _mask_of,
+    _mask_views,
     _memoized,
     _symbol_reprs,
     _unmask,
@@ -82,8 +87,6 @@ def universal_guide(alphabet: Iterable[Any]) -> "_DFA":
     """The one-state complete all-final DFA over *alphabet*: a guide that
     prunes nothing.  Guiding by it reproduces the blind subset
     construction state-for-state and charge-for-charge."""
-    from repro.strings.dfa import DFA
-
     alphabet = frozenset(alphabet)
     state = "*"
     return DFA(
@@ -105,8 +108,6 @@ def depth_guide(alphabet: Iterable[Any], depth: int) -> "_DFA":
     """
     if depth < 0:
         raise AutomatonError(f"depth_guide depth must be >= 0, got {depth}")
-    from repro.strings.dfa import DFA
-
     alphabet = frozenset(alphabet)
     states = list(range(depth + 1))
     transitions = {
@@ -117,32 +118,51 @@ def depth_guide(alphabet: Iterable[Any], depth: int) -> "_DFA":
     return DFA(states, alphabet, transitions, 0, states)
 
 
-def _guide_step_table(
-    guide: "_DFA", symbols: list[Any]
-) -> tuple[dict[tuple[Any, int], Any], frozenset[Any]]:
-    """``(guide state, symbol index) -> alive successor`` plus the alive set.
+def _universal_rows(fanout: int) -> list[list[tuple[int, int]]]:
+    """The one-state guide table that reads every symbol: the blind run."""
+    return [[(sym_index, 0) for sym_index in range(fanout)]]
 
-    Alive = reachable and (when the guide declares finals) co-reachable;
-    a guide with no finals is a prefix machine, so every reachable state
-    is alive.  Transitions into dead states are dropped — the guided BFS
-    treats them as pruned.
+
+def _code_guide(
+    guide: "_DFA | None", symbols: list[Any], shift: int
+) -> tuple[list[Any], list[list[tuple[int, int]]], int]:
+    """Int-code *guide* for the guided BFS: ``(states, rows, alive count)``.
+
+    Guide states are coded in breadth-first order from the initial state
+    (code 0), so ``states[code]`` decodes a code.  ``rows[code]`` lists
+    ``(symbol index, tag)`` for every symbol the guide reads from that
+    state into an *alive* state, where the tag is the successor's code
+    shifted past the NFA's state bits: a guided pair is then the single
+    int ``subset mask | tag``.  Alive = reachable and (when the guide
+    declares finals) co-reachable; a guide with no finals is a prefix
+    machine, so every reachable state is alive.  A ``None`` guide is the
+    universal guide: one state ``"*"`` that reads every symbol.
     """
+    if guide is None:
+        return ["*"], _universal_rows(len(symbols)), 1
     reachable = guide.reachable_states()
     if guide.finals:
-        alive = frozenset(
-            state
-            for state in guide.to_nfa().coreachable_states()
-            if state in reachable
-        )
+        alive = reachable & guide.to_nfa().coreachable_states()
     else:
         alive = reachable
-    table: dict[tuple[Any, int], Any] = {}
-    for sym_index, symbol in enumerate(symbols):
-        for state in alive:
-            target = guide.transitions.get((state, symbol))
-            if target is not None and target in alive:
-                table[(state, sym_index)] = target
-    return table, alive
+    states = [guide.initial]
+    code = {guide.initial: 0}
+    rows: list[list[tuple[int, int]]] = []
+    transitions = guide.transitions
+    for state in states:  # ungoverned: grows to at most |alive| + 1 guide states
+        row: list[tuple[int, int]] = []
+        if state in alive:
+            for sym_index, symbol in enumerate(symbols):
+                target = transitions.get((state, symbol))
+                if target is None or target not in alive:
+                    continue  # pruned: the guide cannot read this symbol here
+                index = code.get(target)
+                if index is None:
+                    index = code[target] = len(states)
+                    states.append(target)
+                row.append((sym_index, index << shift))
+        rows.append(row)
+    return states, rows, len(alive)
 
 
 # ----------------------------------------------------------------------
@@ -185,11 +205,11 @@ class SchemaGuidedCheckpoint:
 
 def guided_subset_construction(
     nfa: "_NFA",
-    guide: "_DFA",
+    guide: "_DFA | None" = None,
     *,
     keep_empty: bool = False,
     budget: Budget | None = None,
-    checkpoint: SchemaGuidedCheckpoint | None = None,
+    checkpoint: "SubsetCheckpoint | SchemaGuidedCheckpoint | None" = None,
     trace: Any = None,
 ) -> "_DFA":
     """Subset construction pruned by *guide* (see the module docstring).
@@ -197,27 +217,15 @@ def guided_subset_construction(
     For every word ``w`` accepted by *guide* the returned DFA reaches the
     same subset as the blind construction, so ``L(result) ∩ L(guide) =
     L(nfa) ∩ L(guide)``; subsets unreachable under the guide are never
-    materialized.  Under :func:`universal_guide` the result — and the
-    budget charge sequence — equals the blind kernel's exactly.
+    materialized.  Under :func:`universal_guide` — or ``guide=None``,
+    which codes the universal guide directly instead of building it —
+    the result and the budget charge sequence equal the blind kernel's
+    exactly.
     """
     budget = resolve_budget(budget)
-    order, code = _code_states(nfa.states)
-    symbols = sorted(nfa.alphabet, key=repr)
-    fanout = len(symbols)
-    succ: list[list[int]] = [[0] * len(order) for _ in symbols]
-    for sym_index, symbol in enumerate(symbols):
-        row = succ[sym_index]
-        for state, index in code.items():
-            targets = nfa.transitions.get((state, symbol))
-            if targets:
-                row[index] = _mask_of(targets, code)
-    nchunks = ((len(order) + 15) >> 4) or 1
-    step_tab: list[list[dict[int, int]]] = [
-        [{0: 0} for _ in range(nchunks)] for _ in symbols
-    ]
-    initial_mask = _mask_of(nfa.initials, code)
-    finals_mask = _mask_of(nfa.finals, code)
-    g_step, alive = _guide_step_table(guide, symbols)
+    coding = _code_nfa(nfa)
+    order, _code, symbols = coding[:3]
+    guide_states, rows, alive = _code_guide(guide, symbols, len(order))
 
     with _obs.construction_span(
         "determinize",
@@ -225,11 +233,10 @@ def guided_subset_construction(
         budget=budget,
         kernel="schema-guided",
         nfa_states=len(order),
-        guide_states=len(alive),
+        guide_states=alive,
     ) as span:
         dfa = _guided_scalar(
-            nfa, guide, keep_empty, budget, checkpoint, order, code, symbols,
-            fanout, succ, step_tab, g_step, initial_mask, finals_mask,
+            nfa, coding, guide_states, rows, keep_empty, budget, checkpoint
         )
         if span is not None:
             span.annotate(dfa_states=len(dfa.states))
@@ -242,85 +249,119 @@ def guided_subset_construction(
 
 def _guided_scalar(
     nfa: "_NFA",
-    guide: "_DFA",
+    coding: tuple[list[Any], dict[Any, int], list[Any], list[list[int]], int, int],
+    guide_states: list[Any] | None,
+    rows: list[list[tuple[int, int]]],
     keep_empty: bool,
     budget: Budget | None,
-    checkpoint: SchemaGuidedCheckpoint | None,
-    order: list[Any],
-    code: dict[Any, int],
-    symbols: list[Any],
-    fanout: int,
-    succ: list[list[int]],
-    step_tab: list[list[dict[int, int]]],
-    g_step: dict[tuple[Any, int], Any],
-    initial_mask: int,
-    finals_mask: int,
+    checkpoint: "SubsetCheckpoint | SchemaGuidedCheckpoint | None",
 ) -> "_DFA":
-    """The governed guided BFS (single source of truth for charging)."""
-    from repro.strings.dfa import DFA
+    """The governed subset BFS over ``(guide state, subset)`` pairs — the
+    one scalar loop behind both strategies, and the single source of
+    truth for charging and checkpoints.
+
+    A pair is the int ``mask | tag`` (see :func:`_code_guide`), so under
+    the one-state table of a blind run a pair *is* its subset mask.
+    *guide_states* is ``None`` for a blind run: trips then carry a
+    :class:`~repro.strings.determinize.SubsetCheckpoint` (interchangeable
+    with :func:`~repro.strings.determinize.determinize_reference`'s)
+    instead of a :class:`SchemaGuidedCheckpoint`.
+    """
+    order, code, symbols, succ, initial_mask, finals_mask = coding
+    shift = len(order)
+    full = (1 << shift) - 1
+    fanout = len(symbols)
+    # Lazily-filled 16-bit chunk tables: step_tab[sym][chunk] maps a
+    # 16-bit slice of a subset mask to the OR of the successor masks of
+    # the states in that slice, so one step costs ~ceil(n/16) table
+    # lookups instead of one per set bit.  Tables fill on demand via the
+    # chain t[v] = t[v without lowest bit] | row[lowest bit], one O(1)
+    # entry per distinct chunk value ever seen.
+    nchunks = ((shift + 15) >> 4) or 1
+    step_tab: list[list[dict[int, int]]] = [
+        [{0: 0} for _ in range(nchunks)] for _ in symbols
+    ]
 
     if checkpoint is None:
-        first = (guide.initial, initial_mask)
-        seen: set[tuple[Any, int]] = {first}
-        subsets: dict[int, None] = {initial_mask: None}
+        seen: set[int] = {initial_mask}
         trans: dict[tuple[int, int], int] = {}
-        queue: deque[tuple[Any, int]] = deque([first])
+        queue: deque[int] = deque([initial_mask])
         if budget is not None:
             budget.charge_states(1, frontier=1)
     else:
-        first = (guide.initial, initial_mask)
-        seen = set()
-        subsets = {initial_mask: None}
-        for g, subset in checkpoint.pairs:
-            mask = _mask_of(subset, code)
-            seen.add((g, mask))
-            subsets[mask] = None
+        expected = SubsetCheckpoint if guide_states is None else SchemaGuidedCheckpoint
+        if not isinstance(checkpoint, expected):
+            raise AutomatonError(
+                f"{'a blind' if guide_states is None else 'a schema-guided'} "
+                f"run resumes from {expected.__name__}, "
+                f"not {type(checkpoint).__name__}"
+            )
+        if isinstance(checkpoint, SubsetCheckpoint):
+            seen = {_mask_of(subset, code) for subset in checkpoint.states}
+            queue = deque(_mask_of(subset, code) for subset in checkpoint.frontier)
+        else:
+            tags = {g: index << shift for index, g in enumerate(guide_states or ())}
+            try:
+                seen = {tags[g] | _mask_of(s, code) for g, s in checkpoint.pairs}
+                queue = deque(
+                    tags[g] | _mask_of(s, code) for g, s in checkpoint.frontier
+                )
+            except KeyError as error:
+                raise AutomatonError(
+                    f"checkpoint guide state {error.args[0]!r} is not a state "
+                    "of this guide"
+                ) from None
         trans = {
             (_mask_of(subset, code), symbols.index(symbol)): _mask_of(target, code)
             for (subset, symbol), target in checkpoint.transitions
         }
-        queue = deque(
-            (g, _mask_of(subset, code)) for g, subset in checkpoint.frontier
-        )
 
     with budget_phase(budget, "determinize"):
         if budget is not None:
-            cursor = [first]
+            cursor = [initial_mask]
 
-            def snapshot() -> SchemaGuidedCheckpoint:
+            def snapshot() -> "SubsetCheckpoint | SchemaGuidedCheckpoint":
                 # Decoded lazily, only at trip time; *cursor* is re-enqueued
                 # so resumption recomputes at most |alphabet| idempotent
-                # transitions (same discipline as the blind kernel).
+                # transitions.
+                transitions = tuple(
+                    ((_unmask(src, order), symbols[s]), _unmask(dst, order))
+                    for (src, s), dst in trans.items()
+                )
+                frontier = (cursor[0], *queue)
+                if guide_states is None:
+                    return SubsetCheckpoint(
+                        states=frozenset(_unmask(m, order) for m in seen),
+                        transitions=transitions,
+                        frontier=tuple(_unmask(m, order) for m in frontier),
+                    )
                 return SchemaGuidedCheckpoint(
-                    pairs=tuple((g, _unmask(m, order)) for g, m in seen),
-                    transitions=tuple(
-                        ((_unmask(src, order), symbols[s]), _unmask(dst, order))
-                        for (src, s), dst in trans.items()
+                    pairs=tuple(
+                        (guide_states[p >> shift], _unmask(p & full, order))
+                        for p in seen
                     ),
+                    transitions=transitions,
                     frontier=tuple(
-                        (g, _unmask(m, order)) for g, m in (cursor[0], *queue)
+                        (guide_states[p >> shift], _unmask(p & full, order))
+                        for p in frontier
                     ),
                 )
 
             tick, charge_states = budget.tick, budget.charge_states
             pending = 0
-        sym_range = range(fanout)
         while queue:
-            g_state, mask = queue.popleft()
+            pair = queue.popleft()
+            mask = pair & full
             if budget is not None:
-                cursor[0] = (g_state, mask)
+                cursor[0] = pair
                 # Charged before guide pruning: the fanout is the work the
-                # blind loop would do, so the universal guide reproduces
-                # blind trip counts exactly.
+                # blind loop does, so the universal guide reproduces blind
+                # trip counts exactly.
                 pending += fanout
                 if pending >= _FLUSH:
                     tick(pending, len(queue), snapshot)
                     pending = 0
-            for sym_index in sym_range:
-                g_next = g_step.get((g_state, sym_index))
-                if g_next is None:
-                    continue  # pruned: the guide cannot read this symbol here
-                row = succ[sym_index]
+            for sym_index, tag in rows[pair >> shift]:
                 tabs = step_tab[sym_index]
                 target = 0
                 rest = mask
@@ -337,6 +378,7 @@ def _guided_scalar(
                                 stack.append(value)
                                 value ^= value & -value
                                 part = table.get(value)
+                            row = succ[sym_index]
                             base = chunk_index << 4
                             while stack:  # ungoverned: chain-fill bounded by 16 bits
                                 value = stack.pop()
@@ -349,24 +391,37 @@ def _guided_scalar(
                 if not target and not keep_empty:
                     continue
                 trans[(mask, sym_index)] = target
-                if target not in subsets:
-                    subsets[target] = None
-                pair = (g_next, target)
-                if pair not in seen:
-                    seen.add(pair)
-                    queue.append(pair)
+                reached = target | tag if tag else target  # a tag-0 pair is its mask
+                if reached not in seen:
+                    seen.add(reached)
+                    queue.append(reached)
                     if budget is not None:
                         charge_states(1, len(queue), snapshot)
         if budget is not None and pending:
             budget.tick(pending, 0)
 
-    # API boundary: drop the guide component, reconstruct frozenset views.
-    views = {mask: _unmask(mask, order) for mask in subsets}
-    transitions = {
-        (views[src], symbols[sym_index]): views[dst]
-        for (src, sym_index), dst in trans.items()
-    }
-    finals = [views[mask] for mask in subsets if mask & finals_mask]
+    # API boundary: drop the guide component and decode each subset once
+    # into chunk-interned frozenset views.  Every subset is the initial one
+    # or a transition target, so this order is discovery order, the order
+    # the transitions below read the views in (measured faster to decode
+    # than the set's order).  Like the fast path, the decode runs with the
+    # cyclic GC paused: it allocates only frozensets and tuples of existing
+    # objects, and generation scans over them cost as much as the decode.
+    gc_was_enabled = gc.isenabled()
+    if gc_was_enabled:
+        gc.disable()
+    try:
+        masks = {initial_mask: None}
+        masks.update(zip(trans.values(), repeat(None)))
+        views = _mask_views(order, masks, nchunks)
+        transitions = {
+            (views[src], symbols[sym_index]): views[dst]
+            for (src, sym_index), dst in trans.items()
+        }
+        finals = [view for mask, view in views.items() if mask & finals_mask]
+    finally:
+        if gc_was_enabled:
+            gc.enable()
     return DFA._from_parts(
         views.values(), nfa.alphabet, transitions, views[initial_mask], finals
     )

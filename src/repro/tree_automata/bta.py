@@ -209,63 +209,42 @@ class BTA:
         :class:`~repro.tree_automata.kernels.BTADetCheckpoint` to pass back
         via *checkpoint*.
 
-        *strategy* selects the kernel: ``"blind"`` (default) explores
+        *strategy* selects the pruning: ``"blind"`` (default) explores
         every reachable subset; ``"schema-guided"`` prunes the worklist
         with a deterministic *guide* BTA
         (:mod:`repro.tree_automata.schema_guided`) so subsets arising
         only from schema-invalid subtrees are never materialized — the
         result is then deterministic but only complete on the guide's
-        universe.  With ``guide=None`` the guided kernel uses the
-        universal guide and reproduces the blind construction
-        state-for-state; guided runs checkpoint with
-        :class:`~repro.tree_automata.schema_guided.GuidedBTADetCheckpoint`.
-
-        Runs on the bitmask worklist kernel
-        (:func:`repro.tree_automata.kernels.bta_determinize`);
+        universe.  Both run one governed bitmask worklist: blind
+        determinization *is* guided determinization with no guide, one
+        guide state that reads every label, so ``guide=None`` reproduces
+        the blind construction state-for-state.  Guided runs checkpoint
+        with :class:`~repro.tree_automata.schema_guided.GuidedBTADetCheckpoint`;
+        a checkpoint of the other strategy's type raises
+        :class:`~repro.errors.AutomatonError`.  Ungoverned blind runs may
+        take the numpy fast path of
+        :func:`repro.tree_automata.kernels.bta_determinize`;
         :meth:`determinize_reference` is the original round-based loop,
         kept as the differential oracle.
         """
-        if strategy == "blind":
-            if guide is not None:
-                raise AutomatonError(
-                    "guide= requires strategy='schema-guided' "
-                    "(got strategy='blind')"
-                )
-            from repro.tree_automata.kernels import BTADetCheckpoint, bta_determinize
-
-            if checkpoint is not None and not isinstance(
-                checkpoint, BTADetCheckpoint
-            ):
-                raise AutomatonError(
-                    "strategy='blind' resumes from BTADetCheckpoint, "
-                    f"not {type(checkpoint).__name__}"
-                )
-            return bta_determinize(
-                self, budget=budget, checkpoint=checkpoint, trace=trace
+        if strategy not in ("blind", "schema-guided"):
+            raise AutomatonError(
+                f"unknown determinization strategy {strategy!r} "
+                "(expected 'blind' or 'schema-guided')"
             )
         if strategy == "schema-guided":
-            from repro.tree_automata.schema_guided import (
-                GuidedBTADetCheckpoint,
-                bta_determinize_guided,
-                universal_bta_guide,
-            )
+            from repro.tree_automata.schema_guided import bta_determinize_guided
 
-            if checkpoint is not None and not isinstance(
-                checkpoint, GuidedBTADetCheckpoint
-            ):
-                raise AutomatonError(
-                    "strategy='schema-guided' resumes from "
-                    f"GuidedBTADetCheckpoint, not {type(checkpoint).__name__}"
-                )
-            if guide is None:
-                guide = universal_bta_guide(self.alphabet)
             return bta_determinize_guided(
                 self, guide, budget=budget, checkpoint=checkpoint, trace=trace
             )
-        raise AutomatonError(
-            f"unknown determinization strategy {strategy!r} "
-            "(expected 'blind' or 'schema-guided')"
-        )
+        if guide is not None:
+            raise AutomatonError(
+                "guide= requires strategy='schema-guided' (got strategy='blind')"
+            )
+        from repro.tree_automata.kernels import bta_determinize
+
+        return bta_determinize(self, budget=budget, checkpoint=checkpoint, trace=trace)
 
     def determinize_reference(
         self,

@@ -19,7 +19,8 @@ never leaks into pickles) and runs the loops on int bitmasks:
   *all* known partner subsets per ``(label, side)`` at once.  Governed
   runs charge the budget exactly like the reference loop (one state per
   fresh subset, leaf subsets free) and trip with a resumable
-  :class:`BTADetCheckpoint`.
+  :class:`BTADetCheckpoint`; their worklist is the schema-guided one of
+  :mod:`repro.tree_automata.schema_guided` with no guide.
 * :func:`bta_difference_empty` — the lazy-product inclusion worklist of
   :mod:`repro.tree_automata.inclusion`, upgraded to chunk-table steps
   on the right-hand subsets and the same numpy partner-batch fast path.
@@ -63,6 +64,7 @@ from repro.strings.kernels import (
     _KernelCache,
     _code_states,
     _mask_of,
+    _mask_views,
     _memoized,
     _unmask,
     canonical_repr,
@@ -73,6 +75,7 @@ from repro.trees.xml_io import CLOSE, OPEN
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy
     from repro.schemas.edtd import EDTD as _EDTD
     from repro.tree_automata.bta import BTA as _BTA
+    from repro.tree_automata.schema_guided import GuidedBTADetCheckpoint
     from repro.trees.tree import Tree as _Tree
 
 try:  # the vectorized fast path is optional — the scalar kernels are exact
@@ -264,51 +267,6 @@ def _coding_of(bta: "_BTA") -> _BTACoding:
 
 
 # ----------------------------------------------------------------------
-# Boundary decode: masks back to frozenset views
-# ----------------------------------------------------------------------
-
-def _mask_views(
-    order: list[State], masks: Iterable[int], nchunks: int
-) -> dict[int, frozenset[State]]:
-    """Interned ``mask -> frozenset`` views (chunk-level frozensets are
-    shared, so member hashes are reused instead of recomputed)."""
-    empty: frozenset[State] = frozenset()
-    member_tab: list[dict[int, frozenset[State]]] = [
-        {0: empty} for _ in range(nchunks)
-    ]
-    views: dict[int, frozenset[State]] = {}
-    for mask in masks:
-        if mask in views:
-            continue
-        parts = None
-        rest = mask
-        chunk_index = 0
-        while rest:  # ungoverned: bit-scan bounded by the coded state count
-            chunk = rest & 0xFFFF
-            if chunk:
-                table = member_tab[chunk_index]
-                part = table.get(chunk)
-                if part is None:
-                    stack = []
-                    value = chunk
-                    while part is None:
-                        stack.append(value)
-                        value ^= value & -value
-                        part = table.get(value)
-                    base = chunk_index << 4
-                    while stack:  # ungoverned: chain-fill bounded by 16 bits
-                        value = stack.pop()
-                        low = value & -value
-                        part = part | {order[base + low.bit_length() - 1]}
-                        table[value] = part
-                parts = part if parts is None else parts | part
-            rest >>= 16
-            chunk_index += 1
-        views[mask] = empty if parts is None else parts
-    return views
-
-
-# ----------------------------------------------------------------------
 # Determinization
 # ----------------------------------------------------------------------
 
@@ -344,21 +302,27 @@ def bta_determinize(
     bta: "_BTA",
     *,
     budget: Budget | None = None,
-    checkpoint: BTADetCheckpoint | None = None,
+    checkpoint: "BTADetCheckpoint | GuidedBTADetCheckpoint | None" = None,
     trace: Any = None,
 ) -> "_BTA":
     """Bitmask bottom-up subset construction; same contract (result,
     charging, trip counts) as ``BTA.determinize_reference``.
 
-    Subset states are int masks interned in a dict; each discovered
-    subset is combined once against every subset known so far (both
-    child positions), so the rule join runs once per ordered pair
-    instead of once per pair per round.  Budget charging replicates the
-    reference: the initial leaf subsets are free, every other fresh
-    subset charges one state, and combination work ticks in ``_FLUSH``
-    batches.  On exhaustion the raised error carries a
-    :class:`BTADetCheckpoint`.
+    Subset states are int masks; each discovered subset is combined once
+    against every subset known so far (both child positions), so the
+    rule join runs once per ordered pair instead of once per pair per
+    round.  Budget charging replicates the reference: the initial leaf
+    subsets are free, every other fresh subset charges one state, and
+    combination work ticks in ``_FLUSH`` batches.  On exhaustion the
+    raised error carries a :class:`BTADetCheckpoint`.
+
+    The scalar loop is the schema-guided worklist
+    (:func:`repro.tree_automata.schema_guided.bta_determinize_guided`)
+    with no guide — one guide state that reads every label — so
+    charging and checkpoints live in that one loop.
     """
+    from repro.tree_automata.schema_guided import _code_guide, _guided_worklist
+
     budget = resolve_budget(budget)
     coding = _coding_of(bta)
     fast = (
@@ -378,8 +342,14 @@ def bta_determinize(
         if fast:
             masks, transitions = _determinize_fast(coding)
         else:
-            masks, transitions = _determinize_scalar(coding, budget, checkpoint)
-        result = _assemble_bta(bta, coding, masks, transitions)
+            _states, leaf_tags, rules, _useful = _code_guide(coding, None)
+            pairs, transitions = _guided_worklist(
+                coding, None, leaf_tags, rules, budget, checkpoint
+            )
+            masks = [mask for _, mask in pairs]
+        result = _assemble_bta(
+            bta, coding, masks, transitions, range(len(coding.labels))
+        )
         if span is not None:
             span.annotate(subsets=len(masks))
         if _obs.ENABLED:
@@ -397,90 +367,6 @@ def _seed_masks(coding: _BTACoding) -> tuple[list[int], dict[int, int]]:
             index[mask] = len(masks)
             masks.append(mask)
     return masks, index
-
-
-def _determinize_scalar(
-    coding: _BTACoding,
-    budget: Budget | None,
-    checkpoint: BTADetCheckpoint | None,
-) -> tuple[list[int], dict[tuple[int, int, int], int]]:
-    """The governed scalar worklist (single source of truth for charging)."""
-    labels = coding.labels
-    label_range = range(len(labels))
-    nlabels = len(labels)
-    if checkpoint is None:
-        masks, index = _seed_masks(coding)
-        transitions: dict[tuple[int, int, int], int] = {}
-        done = 0
-    else:
-        code = coding.code
-        masks = [_mask_of(subset, code) for subset in checkpoint.subsets]
-        index = {mask: position for position, mask in enumerate(masks)}
-        transitions = {
-            (
-                coding.label_code[label],
-                _mask_of(s1, code),
-                _mask_of(s2, code),
-            ): _mask_of(target, code)
-            for (label, s1, s2), target in checkpoint.transitions
-        }
-        done = checkpoint.done
-
-    step = coding.step
-    if budget is not None:
-        cursor = [done]
-
-        def snapshot() -> BTADetCheckpoint:
-            # Decoded lazily, only at trip time; the row at ``cursor`` is
-            # re-run on resume (idempotent — see BTADetCheckpoint docs).
-            order = coding.order
-            return BTADetCheckpoint(
-                subsets=tuple(_unmask(mask, order) for mask in masks),
-                transitions=tuple(
-                    (
-                        (labels[label_index], _unmask(m1, order), _unmask(m2, order)),
-                        _unmask(target, order),
-                    )
-                    for (label_index, m1, m2), target in transitions.items()
-                ),
-                done=cursor[0],
-            )
-
-        tick, charge_states = budget.tick, budget.charge_states
-        pending = 0
-    with budget_phase(budget, "bta-determinize"):
-        while done < len(masks):
-            current = masks[done]
-            if budget is not None:
-                cursor[0] = done
-            for position in range(done + 1):
-                partner = masks[position]
-                both_sides = position < done
-                if budget is not None:
-                    pending += nlabels * (2 if both_sides else 1)
-                    if pending >= _FLUSH:
-                        tick(pending, len(masks) - done, snapshot)
-                        pending = 0
-                for label_index in label_range:
-                    target = step(label_index, current, partner)
-                    transitions[(label_index, current, partner)] = target
-                    if target not in index:
-                        index[target] = len(masks)
-                        masks.append(target)
-                        if budget is not None:
-                            charge_states(1, len(masks) - done, snapshot)
-                    if both_sides:
-                        target = step(label_index, partner, current)
-                        transitions[(label_index, partner, current)] = target
-                        if target not in index:
-                            index[target] = len(masks)
-                            masks.append(target)
-                            if budget is not None:
-                                charge_states(1, len(masks) - done, snapshot)
-            done += 1
-        if budget is not None and pending:
-            budget.tick(pending, 0)
-    return masks, transitions
 
 
 def _determinize_fast(
@@ -540,16 +426,20 @@ def _assemble_bta(
     coding: _BTACoding,
     masks: list[int],
     transitions: dict[tuple[int, int, int], int],
+    leaf_labels: Iterable[int],
 ) -> "_BTA":
-    """Decode the worklist result into a validated-by-construction BTA."""
+    """Decode a worklist result — its distinct subset *masks* and coded
+    *transitions* — into a validated-by-construction BTA over subsets.
+    Leaf rules are kept for the label indices in *leaf_labels*: every
+    label for a blind run, the guide-alive ones for a guided run."""
     from repro.tree_automata.bta import BTA
 
     views = _mask_views(coding.order, masks, coding.nchunks)
     singletons = {mask: frozenset((view,)) for mask, view in views.items()}
     labels = coding.labels
     leaf_rules = {
-        label: singletons[coding.leaf_masks[label_index]]
-        for label_index, label in enumerate(labels)
+        labels[label_index]: singletons[coding.leaf_masks[label_index]]
+        for label_index in leaf_labels
     }
     internal_rules = {
         (labels[label_index], views[m1], views[m2]): singletons[target]

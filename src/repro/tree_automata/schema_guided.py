@@ -23,10 +23,11 @@ so bottom-up determinism is preserved and under
 :func:`universal_bta_guide` the result equals the blind kernel's
 output state-for-state.
 
-Budget charging mirrors :func:`~repro.tree_automata.kernels._determinize_scalar`
-per *pair*: seed pairs are free, every fresh pair charges one state,
-``|labels| * (1 or 2)`` steps accrue per partner **before** guide
-pruning (so the universal guide reproduces blind trip counts
+Blind determinization is this worklist with no guide — one guide state
+that reads every label — so budget charging lives here for both
+strategies, per *pair*: seed pairs are free, every fresh pair charges
+one state, ``|labels| * (1 or 2)`` steps accrue per partner **before**
+guide pruning (so the universal guide reproduces blind trip counts
 charge-for-charge), flushed in ``_FLUSH`` batches, with lazy
 :class:`GuidedBTADetCheckpoint` snapshots interchangeable in contract
 with :class:`~repro.tree_automata.kernels.BTADetCheckpoint`.
@@ -43,8 +44,9 @@ from repro.errors import AutomatonError
 from repro.runtime.budget import Budget, budget_phase, resolve_budget
 from repro.strings.kernels import _FLUSH, _KernelCache, _mask_of, _memoized, _unmask
 from repro.tree_automata.kernels import (
+    BTADetCheckpoint,
+    _assemble_bta,
     _coding_of,
-    _mask_views,
     bta_structural_key,
 )
 
@@ -148,6 +150,48 @@ def _guide_tables(
     return leaf_of, rule_of, useful
 
 
+def _code_guide(
+    coding: Any, guide: "_BTA | None"
+) -> tuple[list[State], list[int | None], dict[tuple[int, int, int], int], int]:
+    """Int-code *guide* against *coding*'s labels for the guided worklist:
+    ``(states, leaf tags, rules, useful count)``.
+
+    Useful guide states get small int codes (``states[code]`` decodes
+    one); a state's *tag* is its code shifted past the BTA's state bits,
+    so a guided pair is the single int ``subset mask | tag``.
+    ``leaf_tags[label_index]`` is the tag of the label's leaf target (or
+    ``None`` when the guide has no useful leaf rule for it) and ``rules``
+    maps ``(label_index, tag1, tag2)`` to the target's tag.  A ``None``
+    guide is the universal guide: one state ``"*"`` reading every label.
+    """
+    nlabels = len(coding.labels)
+    if guide is None:
+        rules = {(label_index, 0, 0): 0 for label_index in range(nlabels)}
+        return ["*"], [0 for _ in range(nlabels)], rules, 1
+    leaf_of, rule_of, useful = _guide_tables(guide)
+    shift = len(coding.order)
+    states: list[State] = []
+    tags: dict[State, int] = {}
+
+    def tag(state: State) -> int:
+        value = tags.get(state)
+        if value is None:
+            value = tags[state] = len(states) << shift
+            states.append(state)
+        return value
+
+    leaf_tags: list[int | None] = [
+        tag(leaf_of[label]) if label in leaf_of else None for label in coding.labels
+    ]
+    label_code = coding.label_code
+    rules = {
+        (label_code[label], tag(q1), tag(q2)): tag(target)
+        for (label, q1, q2), target in rule_of.items()
+        if label in label_code
+    }
+    return states, leaf_tags, rules, len(useful)
+
+
 # ----------------------------------------------------------------------
 # Checkpoint
 # ----------------------------------------------------------------------
@@ -195,10 +239,10 @@ class GuidedBTADetCheckpoint:
 
 def bta_determinize_guided(
     bta: "_BTA",
-    guide: "_BTA",
+    guide: "_BTA | None" = None,
     *,
     budget: Budget | None = None,
-    checkpoint: GuidedBTADetCheckpoint | None = None,
+    checkpoint: "BTADetCheckpoint | GuidedBTADetCheckpoint | None" = None,
     trace: Any = None,
 ) -> "_BTA":
     """Bottom-up subset construction pruned by *guide* (module docstring).
@@ -207,65 +251,103 @@ def bta_determinize_guided(
     subset as the blind determinization, so ``L(result) ∩ L(guide) =
     L(bta) ∩ L(guide)``; subset states arising only from guide-invalid
     subtrees are never materialized.  Under :func:`universal_bta_guide`
-    the result and the budget charge sequence equal the blind kernel's.
+    — or ``guide=None``, which codes the universal guide directly
+    instead of building it — the result and the budget charge sequence
+    equal the blind kernel's.
     """
     budget = resolve_budget(budget)
     coding = _coding_of(bta)
-    leaf_of, rule_of, useful = _guide_tables(guide)
+    guide_states, leaf_tags, rules, useful = _code_guide(coding, guide)
     with _obs.construction_span(
         "bta-determinize",
         trace=trace,
         budget=budget,
         kernel="schema-guided",
         nta_states=len(coding.order),
-        guide_states=len(useful),
+        guide_states=useful,
     ) as span:
         pairs, transitions = _guided_worklist(
-            coding, leaf_of, rule_of, budget, checkpoint
+            coding, guide_states, leaf_tags, rules, budget, checkpoint
         )
-        result = _assemble_guided(bta, coding, pairs, transitions, leaf_of)
+        masks = list(dict.fromkeys(mask for _, mask in pairs))
+        result = _assemble_bta(
+            bta,
+            coding,
+            masks,
+            transitions,
+            [index for index, tag in enumerate(leaf_tags) if tag is not None],
+        )
         if span is not None:
-            span.annotate(subsets=len(result.states), pairs=len(pairs))
+            span.annotate(subsets=len(masks), pairs=len(pairs))
         if _obs.ENABLED:
             _obs.METRICS.counter("bta_determinize.runs").inc()
             _obs.METRICS.counter("bta_determinize.schema_guided.runs").inc()
-            _obs.METRICS.histogram("bta_determinize.subsets").observe(
-                len(result.states)
-            )
+            _obs.METRICS.histogram("bta_determinize.subsets").observe(len(masks))
     return result
 
 
 def _guided_worklist(
     coding: Any,
-    leaf_of: dict[Symbol, State],
-    rule_of: dict[tuple[Symbol, State, State], State],
+    guide_states: list[State] | None,
+    leaf_tags: list[int | None],
+    rules: dict[tuple[int, int, int], int],
     budget: Budget | None,
-    checkpoint: GuidedBTADetCheckpoint | None,
-) -> tuple[list[tuple[State, int]], dict[tuple[int, int, int], int]]:
-    """The governed guided worklist (single source of truth for charging)."""
+    checkpoint: "BTADetCheckpoint | GuidedBTADetCheckpoint | None",
+) -> tuple[list[tuple[int, int]], dict[tuple[int, int, int], int]]:
+    """The governed worklist over ``(guide tag, subset mask)`` pairs — the
+    one scalar loop behind both strategies, and the single source of
+    truth for charging and checkpoints.
+
+    Each discovered pair is combined once against every pair known so
+    far (both child positions).  A combination ``label(c, p)`` runs only
+    when the guide has a rule for ``label`` over the two guide states;
+    the per-(guide state, guide state) label lists are filled lazily
+    from *rules*.  *guide_states* is ``None`` for a blind run: trips
+    then carry a :class:`~repro.tree_automata.kernels.BTADetCheckpoint`
+    (interchangeable with ``BTA.determinize_reference``'s) instead of a
+    :class:`GuidedBTADetCheckpoint`.
+    """
     labels = coding.labels
     nlabels = len(labels)
     label_range = range(nlabels)
     if checkpoint is None:
-        # Seeds mirror _seed_masks but keep only guide-alive leaf labels,
-        # deduplicated per (guide state, mask) pair; uncharged like the
-        # blind kernel's leaf subsets.
-        pairs: list[tuple[State, int]] = []
-        pair_index: set[tuple[State, int]] = set()
-        for label_index, label in enumerate(labels):
-            g_state = leaf_of.get(label)
-            if g_state is None:
+        # The seeds — one per distinct (guide tag, leaf mask) of a label
+        # the guide reads at a leaf — are uncharged.
+        pairs: list[tuple[int, int]] = []
+        index: set[int] = set()
+        for label_index, tag in enumerate(leaf_tags):
+            if tag is None:
                 continue
-            pair = (g_state, coding.leaf_masks[label_index])
-            if pair not in pair_index:
-                pair_index.add(pair)
-                pairs.append(pair)
+            mask = coding.leaf_masks[label_index]
+            if mask | tag not in index:
+                index.add(mask | tag)
+                pairs.append((tag, mask))
         transitions: dict[tuple[int, int, int], int] = {}
         done = 0
     else:
+        expected = BTADetCheckpoint if guide_states is None else GuidedBTADetCheckpoint
+        if not isinstance(checkpoint, expected):
+            raise AutomatonError(
+                f"{'a blind' if guide_states is None else 'a schema-guided'} "
+                f"run resumes from {expected.__name__}, "
+                f"not {type(checkpoint).__name__}"
+            )
         code = coding.code
-        pairs = [(g, _mask_of(subset, code)) for g, subset in checkpoint.pairs]
-        pair_index = set(pairs)
+        if isinstance(checkpoint, BTADetCheckpoint):
+            pairs = [(0, _mask_of(subset, code)) for subset in checkpoint.subsets]
+        else:
+            shift = len(coding.order)
+            tags = {g: i << shift for i, g in enumerate(guide_states or ())}
+            try:
+                pairs = [
+                    (tags[g], _mask_of(subset, code)) for g, subset in checkpoint.pairs
+                ]
+            except KeyError as error:
+                raise AutomatonError(
+                    f"checkpoint guide state {error.args[0]!r} is not a useful "
+                    "state of this guide"
+                ) from None
+        index = {mask | tag for tag, mask in pairs}
         transitions = {
             (
                 coding.label_code[label],
@@ -276,24 +358,49 @@ def _guided_worklist(
         }
         done = checkpoint.done
 
+    # combos[tag_c][tag_p]: the (label, tag of label(c, p), tag of
+    # label(p, c)) triples the guide allows, built on first use.
+    combos: dict[int, dict[int, list[tuple[int, int | None, int | None]]]] = {}
+    rule = rules.get
+
+    def allowed_labels(tag_c: int, tag_p: int) -> list[tuple[int, int | None, int | None]]:
+        triples: list[tuple[int, int | None, int | None]] = []
+        for label_index in label_range:
+            forward = rule((label_index, tag_c, tag_p))
+            backward = rule((label_index, tag_p, tag_c))
+            if forward is not None or backward is not None:
+                triples.append((label_index, forward, backward))
+        return triples
+
     step = coding.step
     if budget is not None:
         cursor = [done]
 
-        def snapshot() -> GuidedBTADetCheckpoint:
+        def snapshot() -> "BTADetCheckpoint | GuidedBTADetCheckpoint":
             # Decoded lazily, only at trip time; the row at ``cursor`` is
             # re-run on resume (idempotent entries, nothing lost or
             # double-charged).
             order = coding.order
+            decoded = tuple(
+                (
+                    (labels[label_index], _unmask(m1, order), _unmask(m2, order)),
+                    _unmask(target, order),
+                )
+                for (label_index, m1, m2), target in transitions.items()
+            )
+            if guide_states is None:
+                return BTADetCheckpoint(
+                    subsets=tuple(_unmask(mask, order) for _, mask in pairs),
+                    transitions=decoded,
+                    done=cursor[0],
+                )
+            shift = len(order)
             return GuidedBTADetCheckpoint(
-                pairs=tuple((g, _unmask(mask, order)) for g, mask in pairs),
-                transitions=tuple(
-                    (
-                        (labels[label_index], _unmask(m1, order), _unmask(m2, order)),
-                        _unmask(target, order),
-                    )
-                    for (label_index, m1, m2), target in transitions.items()
+                pairs=tuple(
+                    (guide_states[tag >> shift], _unmask(mask, order))
+                    for tag, mask in pairs
                 ),
+                transitions=decoded,
                 done=cursor[0],
             )
 
@@ -301,87 +408,47 @@ def _guided_worklist(
         pending = 0
     with budget_phase(budget, "bta-determinize"):
         while done < len(pairs):
-            g_current, current = pairs[done]
+            tag_c, current = pairs[done]
+            row = combos.get(tag_c)
+            if row is None:
+                row = combos[tag_c] = {}
             if budget is not None:
                 cursor[0] = done
             for position in range(done + 1):
-                g_partner, partner = pairs[position]
+                tag_p, partner = pairs[position]
                 both_sides = position < done
                 if budget is not None:
                     # Accrued before guide pruning — the work the blind
-                    # loop would do — so the universal guide reproduces
-                    # blind trip counts exactly.
+                    # loop does — so the universal guide reproduces blind
+                    # trip counts exactly.
                     pending += nlabels * (2 if both_sides else 1)
                     if pending >= _FLUSH:
                         tick(pending, len(pairs) - done, snapshot)
                         pending = 0
-                for label_index in label_range:
-                    label = labels[label_index]
-                    g_target = rule_of.get((label, g_current, g_partner))
-                    if g_target is not None:
+                allowed = row.get(tag_p)
+                if allowed is None:
+                    allowed = row[tag_p] = allowed_labels(tag_c, tag_p)
+                for label_index, forward, backward in allowed:
+                    if forward is not None:
                         target = step(label_index, current, partner)
                         transitions[(label_index, current, partner)] = target
-                        pair = (g_target, target)
-                        if pair not in pair_index:
-                            pair_index.add(pair)
-                            pairs.append(pair)
+                        if target | forward not in index:
+                            index.add(target | forward)
+                            pairs.append((forward, target))
                             if budget is not None:
                                 charge_states(1, len(pairs) - done, snapshot)
-                    if both_sides:
-                        g_target = rule_of.get((label, g_partner, g_current))
-                        if g_target is not None:
-                            target = step(label_index, partner, current)
-                            transitions[(label_index, partner, current)] = target
-                            pair = (g_target, target)
-                            if pair not in pair_index:
-                                pair_index.add(pair)
-                                pairs.append(pair)
-                                if budget is not None:
-                                    charge_states(1, len(pairs) - done, snapshot)
+                    if both_sides and backward is not None:
+                        target = step(label_index, partner, current)
+                        transitions[(label_index, partner, current)] = target
+                        if target | backward not in index:
+                            index.add(target | backward)
+                            pairs.append((backward, target))
+                            if budget is not None:
+                                charge_states(1, len(pairs) - done, snapshot)
             done += 1
         if budget is not None and pending:
             budget.tick(pending, 0)
     return pairs, transitions
-
-
-def _assemble_guided(
-    bta: "_BTA",
-    coding: Any,
-    pairs: list[tuple[State, int]],
-    transitions: dict[tuple[int, int, int], int],
-    leaf_of: dict[Symbol, State],
-) -> "_BTA":
-    """Decode the pair worklist into a subsets-only BTA (guide dropped).
-
-    Mirrors :func:`~repro.tree_automata.kernels._assemble_bta`, except
-    leaf rules exist only for guide-alive labels — under the universal
-    guide that is every label and the outputs coincide.
-    """
-    from repro.tree_automata.bta import BTA
-
-    masks: list[int] = []
-    seen_masks: set[int] = set()
-    for _, mask in pairs:
-        if mask not in seen_masks:
-            seen_masks.add(mask)
-            masks.append(mask)
-    views = _mask_views(coding.order, masks, coding.nchunks)
-    singletons = {mask: frozenset((view,)) for mask, view in views.items()}
-    labels = coding.labels
-    leaf_rules = {
-        label: singletons[coding.leaf_masks[label_index]]
-        for label_index, label in enumerate(labels)
-        if label in leaf_of
-    }
-    internal_rules = {
-        (labels[label_index], views[m1], views[m2]): singletons[target]
-        for (label_index, m1, m2), target in transitions.items()
-    }
-    finals_mask = coding.finals_mask
-    finals = [view for mask, view in views.items() if mask & finals_mask]
-    return BTA._from_parts(
-        views.values(), bta.alphabet, leaf_rules, internal_rules, finals
-    )
 
 
 # ----------------------------------------------------------------------

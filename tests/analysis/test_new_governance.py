@@ -15,7 +15,7 @@ import pytest
 from repro.errors import BudgetExceededError
 from repro.runtime import Budget
 from repro.strings.derivatives import dfa_from_regex
-from repro.strings.hopcroft import hopcroft_minimize
+from repro.strings.minimize import minimize_dfa
 from repro.strings.ops import as_dfa
 from repro.strings.regex import parse
 from repro.tree_automata.bta import BTA
@@ -41,20 +41,22 @@ def sample_bta() -> BTA:
 
 
 class TestHopcroftGovernance:
+    """Hopcroft minimization as :func:`minimize_dfa` runs it."""
+
     def test_within_budget_matches_ungoverned(self):
         dfa = sample_dfa()
-        governed = hopcroft_minimize(dfa, budget=Budget(max_steps=100_000))
-        assert governed.isomorphic_to(hopcroft_minimize(dfa))
+        governed = minimize_dfa(dfa, budget=Budget(max_steps=100_000))
+        assert governed.isomorphic_to(minimize_dfa(dfa))
 
     def test_tiny_budget_trips_with_phase(self):
         with pytest.raises(BudgetExceededError) as exc_info:
-            hopcroft_minimize(sample_dfa(), budget=Budget(max_steps=2))
-        assert exc_info.value.progress.phase == "hopcroft"
+            minimize_dfa(sample_dfa(), budget=Budget(max_steps=2))
+        assert exc_info.value.progress.phase == "minimize"
 
     def test_ambient_budget_governs(self):
         with Budget(max_steps=2):
             with pytest.raises(BudgetExceededError):
-                hopcroft_minimize(sample_dfa())
+                minimize_dfa(sample_dfa())
 
 
 class TestBtaDeterminizeGovernance:

@@ -17,7 +17,7 @@ from repro.api import (
     validate,
 )
 from repro.errors import BudgetExceededError
-from repro.families.hard import example_2_6
+from repro.families.hard import example_2_6, theorem_3_2_family, theorem_3_6_family
 from repro.observability import METRICS
 from repro.runtime import Budget
 from repro.schemas.text_format import dumps
@@ -61,10 +61,6 @@ class TestCompileSchema:
         guided = compile_schema(store_schema, strategy="schema-guided")
         assert blind.schema_id != guided.schema_id
 
-    def test_guide_is_lazy_and_memoized(self, store_schema):
-        handle = compile_schema(store_schema)
-        assert handle.guide is handle.guide
-
     def test_single_type_classification(self, store_schema):
         assert compile_schema(store_schema).is_single_type
         assert not compile_schema(example_2_6()).is_single_type
@@ -107,6 +103,20 @@ class TestHandleMethods:
     def test_definability(self, store_schema):
         report = compile_schema(store_schema).definability()
         assert report  # single-type schemas are trivially definable
+
+    def test_guide_build_is_governed(self):
+        # The guide's ancestor machine (2^12 + 1 subsets) is determinized
+        # under the call's budget, and a trip there carries no checkpoint:
+        # one would belong to the guide's construction, not the guided run.
+        with pytest.raises(BudgetExceededError) as trip:
+            approximate_upper(
+                theorem_3_6_family(2)[0],
+                strategy="schema-guided",
+                guide=theorem_3_2_family(12),
+                budget=Budget(max_states=1000),
+            )
+        assert trip.value.checkpoint is None
+        assert trip.value.progress.states_explored > 1000
 
 
 class TestOneCompilePerHandle:

@@ -75,18 +75,11 @@ class TestConfigure:
         restored = configure(previous)
         assert restored.max_states == 5
 
-    def test_legacy_keyword_form_warns_and_applies(self):
-        with pytest.warns(DeprecationWarning):
-            configure(timeout=2.0)
-        assert current_settings().timeout == 2.0
-
-    def test_legacy_form_overlays_current_default(self):
+    def test_keyword_form_is_rejected(self):
         configure(Settings(max_steps=3))
-        with pytest.warns(DeprecationWarning):
-            configure(timeout=1.0)
-        settings = current_settings()
-        assert settings.max_steps == 3
-        assert settings.timeout == 1.0
+        with pytest.raises(TypeError):
+            configure(timeout=1.0)  # type: ignore[call-arg]
+        assert current_settings() == Settings(max_steps=3)
 
     def test_explicit_settings_do_not_warn(self, recwarn):
         configure(Settings(timeout=1.0))

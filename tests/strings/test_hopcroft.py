@@ -1,5 +1,7 @@
-"""Tests for Hopcroft minimization, incl. differential testing against the
-Moore-refinement route."""
+"""Tests for Hopcroft minimization as :func:`minimize_dfa` runs it (on
+:func:`repro.strings.kernels.hopcroft_refine`), checked differentially
+against Brzozowski's double-reversal minimization, an oracle that shares
+no code with partition refinement."""
 
 from __future__ import annotations
 
@@ -12,7 +14,6 @@ from repro.strings.builders import nth_from_end_is
 from repro.strings.determinize import determinize
 from repro.strings.dfa import DFA
 from repro.strings.glushkov import glushkov_nfa
-from repro.strings.hopcroft import hopcroft_minimize
 from repro.strings.minimize import minimize_dfa
 from repro.strings.ops import as_min_dfa, equivalent
 from repro.strings.regex import (
@@ -28,6 +29,14 @@ from repro.strings.regex import (
 )
 
 
+def brzozowski(dfa: DFA) -> DFA:
+    """The minimal trim DFA of ``L(dfa)``: determinizing the reversal of
+    an accessible DFA yields a minimal one, so two rounds of
+    reverse-and-determinize minimize any automaton."""
+    once = determinize(dfa.to_nfa().reverse())
+    return determinize(once.to_nfa().reverse())
+
+
 class TestHopcroft:
     @pytest.mark.parametrize(
         "source",
@@ -36,26 +45,27 @@ class TestHopcroft:
     )
     def test_agrees_with_moore_route(self, source):
         dfa = determinize(glushkov_nfa(parse(source)))
-        via_hopcroft = hopcroft_minimize(dfa)
-        via_moore = minimize_dfa(dfa)
-        assert len(via_hopcroft.states) == len(via_moore.states), source
-        assert equivalent(via_hopcroft, via_moore), source
+        via_hopcroft = minimize_dfa(dfa)
+        via_brzozowski = brzozowski(dfa)
+        assert len(via_hopcroft.states) == len(via_brzozowski.states), source
+        assert equivalent(via_hopcroft, via_brzozowski), source
 
     def test_empty_language(self):
         dfa = DFA({0}, {"a"}, {}, 0, set())
-        assert hopcroft_minimize(dfa).is_empty_language()
+        assert minimize_dfa(dfa).is_empty_language()
 
     def test_complete_flag(self):
-        trim = hopcroft_minimize(as_min_dfa("a"))
-        complete = hopcroft_minimize(as_min_dfa("a"), complete=True)
+        trim = minimize_dfa(as_min_dfa("a"))
+        complete = minimize_dfa(as_min_dfa("a"), complete=True)
         assert complete.is_complete()
         assert len(complete.states) == len(trim.states) + 1
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_blowup_family_minimal_sizes(self, n):
         dfa = determinize(nth_from_end_is("a", "b", n))
-        minimal = hopcroft_minimize(dfa)
+        minimal = minimize_dfa(dfa)
         assert len(minimal.states) == 2 ** (n + 1)
+        assert len(brzozowski(dfa).states) == 2 ** (n + 1)
 
     def test_redundant_states_merged(self):
         dfa = DFA(
@@ -66,7 +76,7 @@ class TestHopcroft:
             {0, 2},
         )
         # Language: even number of a's -> 2 states.
-        assert len(hopcroft_minimize(dfa).states) == 2
+        assert len(minimize_dfa(dfa).states) == 2
 
     def test_random_dfas_differential(self):
         rng = random.Random(9)
@@ -80,10 +90,10 @@ class TestHopcroft:
                         transitions[(state, symbol)] = rng.choice(states)
             finals = {s for s in states if rng.random() < 0.4}
             dfa = DFA(states, {"a", "b"}, transitions, 0, finals)
-            via_hopcroft = hopcroft_minimize(dfa)
-            via_moore = minimize_dfa(dfa)
-            assert len(via_hopcroft.states) == len(via_moore.states)
-            assert equivalent(via_hopcroft, via_moore)
+            via_hopcroft = minimize_dfa(dfa)
+            via_brzozowski = brzozowski(dfa)
+            assert len(via_hopcroft.states) == len(via_brzozowski.states)
+            assert equivalent(via_hopcroft, via_brzozowski)
 
 
 def regexes():
@@ -105,7 +115,7 @@ def regexes():
 @given(regexes())
 def test_differential_minimization(expr):
     dfa = determinize(glushkov_nfa(expr))
-    via_hopcroft = hopcroft_minimize(dfa)
-    via_moore = minimize_dfa(dfa)
-    assert len(via_hopcroft.states) == len(via_moore.states), expr
-    assert equivalent(via_hopcroft, via_moore), expr
+    via_hopcroft = minimize_dfa(dfa)
+    via_brzozowski = brzozowski(dfa)
+    assert len(via_hopcroft.states) == len(via_brzozowski.states), expr
+    assert equivalent(via_hopcroft, via_brzozowski), expr

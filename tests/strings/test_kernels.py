@@ -74,12 +74,26 @@ def assert_same_dfa(left: DFA, right: DFA) -> None:
 
 class TestDeterminizeDifferential:
     def test_randomized_nfas(self):
+        # Half the cases run governed: a budget keeps them off the numpy
+        # fast path, so the scalar loop every governed caller runs is
+        # differentially tested too, charge for charge.
         rng = random.Random(20260806)
         for case in range(250):
             nfa = random_nfa(rng)
             keep_empty = case % 5 == 0
-            fast = determinize(nfa, keep_empty=keep_empty)
-            slow = determinize_reference(nfa, keep_empty=keep_empty)
+            if case % 2:
+                meter, oracle_meter = Budget(), Budget()
+                fast = determinize(nfa, keep_empty=keep_empty, budget=meter)
+                slow = determinize_reference(
+                    nfa, keep_empty=keep_empty, budget=oracle_meter
+                )
+                assert (meter.states, meter.steps) == (
+                    oracle_meter.states,
+                    oracle_meter.steps,
+                )
+            else:
+                fast = determinize(nfa, keep_empty=keep_empty)
+                slow = determinize_reference(nfa, keep_empty=keep_empty)
             assert_same_dfa(fast, slow)
 
     @pytest.mark.parametrize("n", [2, 6, 10])
