@@ -60,7 +60,7 @@ import threading
 import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Generator, Iterator
 
 from repro import cache as _cache
 from repro import observability as _obs
@@ -70,7 +70,7 @@ from repro.core.decision import (
 )
 from repro.core.greedy import greedy_maximal_lower
 from repro.core.upper import minimal_upper_approximation
-from repro.errors import BudgetExceededError
+from repro.errors import AutomatonError, BudgetExceededError
 from repro.observability import Trace
 from repro.runtime.budget import Budget, resolve_budget
 from repro.schemas.edtd import EDTD
@@ -80,7 +80,7 @@ from repro.schemas.text_format import loads as _loads_schema
 from repro.schemas.type_automaton import is_single_type
 from repro.strings.kernels import _recharge
 from repro.tree_automata.inclusion import edtd_includes
-from repro.tree_automata.kernels import _tables_of, edtd_accepts_events
+from repro.tree_automata.kernels import _tables_of, edtd_accept_steps, run_steps
 from repro.trees.tree import Tree
 from repro.trees.xml_io import from_xml, xml_events
 
@@ -464,20 +464,42 @@ class CompiledSchema:
         cache: "_cache.CacheArg" = None,
     ) -> ValidationResult:
         """Validate *document* (a :class:`Tree` or an element-only XML
-        fragment string) against the compiled schema.
+        fragment string) against the compiled schema: :meth:`validate_steps`
+        run to its end."""
+        return run_steps(
+            self.validate_steps(
+                document, budget=budget, checkpoint=checkpoint, trace=trace, cache=cache
+            )
+        )
+
+    def validate_steps(
+        self,
+        document: "Tree | str",
+        *,
+        budget: Budget | None = None,
+        checkpoint: Any = None,
+        trace: Trace | None = None,
+        cache: "_cache.CacheArg" = None,
+    ) -> Generator[None, None, ValidationResult]:
+        """:meth:`validate` as a resumable step generator: it yields after
+        every slice of the document's tag events
+        (:data:`repro.tree_automata.kernels.SLICE_EVENTS`) and returns the
+        :class:`ValidationResult`.  A caller that must stay responsive,
+        such as the service's event loop, runs other work between slices;
+        whoever drives it must close it if it stops early.
 
         A string is validated in one pass from text to verdict: the
         hardened tokenizer (:func:`repro.trees.xml_io.xml_events`) feeds
         the stepwise evaluator on the reduced schema's hot tables
-        (:func:`repro.tree_automata.kernels.edtd_accepts_events`), and no
+        (:func:`repro.tree_automata.kernels.edtd_accept_steps`), and no
         tree is built.  A :class:`Tree` runs through the reduced schema's
-        ``accepts``.  Either way the budget's deadline/cancellation is
-        checked before the first element and one step is charged per
-        element — for a string, as the element is read, so per-request
-        deadlines and ``max_steps`` (the service maps ``deadline_ms`` /
-        ``max_steps`` here) trip during the parse at deterministic
-        points.  *checkpoint* is accepted for keyword-surface uniformity
-        but unused.
+        ``accepts`` without yielding.  Either way the budget's
+        deadline/cancellation is checked before the first element and one
+        step is charged per element — for a string, as the element is
+        read, so per-request deadlines and ``max_steps`` (the service maps
+        ``deadline_ms`` / ``max_steps`` here) trip during the parse at
+        deterministic points.  *checkpoint* is accepted for
+        keyword-surface uniformity but unused.
         """
         del checkpoint  # no resumable phase
         with _FacadeCall("validate", budget, trace, self._call_cache(cache)) as call:
@@ -485,7 +507,7 @@ class CompiledSchema:
                 "validate", trace=call.trace, budget=call.budget
             ) as span:
                 if isinstance(document, str):
-                    valid = edtd_accepts_events(
+                    valid = yield from edtd_accept_steps(
                         self._reduced, xml_events(document, budget=call.budget)
                     )
                 else:
@@ -774,11 +796,17 @@ def compile_schema(
     handle's default determinization kernel, and *cache* its default
     artifact store argument.  *checkpoint* is accepted for
     keyword-surface uniformity but unused — compilation has no resumable
-    phase.
+    phase.  An unknown *strategy* raises :class:`AutomatonError` before
+    anything is compiled.
     """
     del checkpoint  # no resumable phase
     if strategy is None:
         strategy = current_settings().strategy
+    elif strategy not in STRATEGIES:
+        raise AutomatonError(
+            f"unknown determinization strategy {strategy!r} "
+            "(expected 'blind' or 'schema-guided')"
+        )
     with _FacadeCall("compile-schema", budget, trace, cache) as call:
         with _obs.construction_span(
             "compile-schema", trace=call.trace, budget=call.budget

@@ -184,7 +184,7 @@ class Budget:
         ):
             if value is not None and value < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if timeout is not None and timeout < 0:
+        if timeout is not None and not timeout >= 0:  # NaN compares False
             raise ValueError("timeout must be non-negative")
         self.max_states = max_states
         self.max_steps = max_steps

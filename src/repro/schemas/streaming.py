@@ -16,7 +16,8 @@ type of every element is determined the moment its start tag arrives
 conveniences; :func:`validate_xml_stream` validates XML text through the
 shared tokenizer (:func:`repro.trees.xml_io.xml_events`) and the stepwise
 evaluator that :meth:`repro.api.CompiledSchema.validate` also runs
-(:func:`repro.tree_automata.kernels.edtd_accepts_events`).
+(:func:`repro.tree_automata.kernels.edtd_accept_steps`), driven to its
+end.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from collections.abc import Hashable, Iterable, Iterator
 
 from repro.errors import TreeSyntaxError, ValidationError
 from repro.schemas.st_edtd import SingleTypeEDTD
-from repro.tree_automata.kernels import edtd_accepts_events
+from repro.tree_automata.kernels import edtd_accept_steps, run_steps
 from repro.trees.tree import Tree
 from repro.trees.xml_io import xml_events
 
@@ -177,8 +178,8 @@ def validate_xml_stream(schema: SingleTypeEDTD, text: str) -> bool:
     as ``é``) is malformed here, so it is invalid against every schema.
     """
     try:
-        return edtd_accepts_events(
-            schema, xml_events(text, max_depth=None, max_nodes=None)
+        return run_steps(
+            edtd_accept_steps(schema, xml_events(text, max_depth=None, max_nodes=None))
         )
     except TreeSyntaxError:
         return False

@@ -20,6 +20,7 @@ touches schemas or budgets.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from repro.errors import ProtocolError, ReproError
@@ -135,7 +136,9 @@ def get_number(
     *,
     integer: bool = False,
 ) -> Any:
-    """*name* as a non-negative number (int when ``integer``), else *default*."""
+    """*name* as a finite non-negative number (int when ``integer``),
+    else *default*.  ``json.loads`` accepts the non-standard literals
+    ``NaN`` and ``Infinity``; both are rejected here."""
     value = payload.get(name, _MISSING)
     if value is _MISSING:
         return default
@@ -143,6 +146,8 @@ def get_number(
     if isinstance(value, bool) or not isinstance(value, numeric):
         kind = "an integer" if integer else "a number"
         raise ProtocolError(f"{name!r} must be {kind}, got {type(value).__name__}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ProtocolError(f"{name!r} must be a finite number, got {value}")
     if value < 0:
         raise ProtocolError(f"{name!r} must be >= 0, got {value}")
     return value

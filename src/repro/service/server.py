@@ -27,11 +27,17 @@ defaults fill the gaps).  Trips degrade, not fail:
 
 Compilation and approximation run in worker threads
 (``asyncio.to_thread``) so the event loop keeps serving while CPU-bound
-construction proceeds.  Validation runs inline on the event loop: one
+construction proceeds.  Validation runs on the event loop in slices: one
 pass from document text to verdict, governed per element by the
-request's budget.  That is quick for small documents, but a large one
-holds the loop for its whole parse, and requests on other connections
-wait behind it (``docs/PERFORMANCE.md`` has measurements).
+request's budget, that hands control back after every
+:data:`~repro.tree_automata.kernels.SLICE_EVENTS` tag events.  Between
+two slices the request awaits one loop turn, so a large document holds
+the loop for one slice (a few milliseconds) at a time and requests on
+other connections are answered in between; a document shorter than one
+slice runs in one go.  A request's ``deadline_ms`` runs from the moment
+the request is handled, so its wall time includes the other requests
+answered between its slices (``docs/PERFORMANCE.md`` has
+measurements).
 """
 
 from __future__ import annotations
@@ -146,7 +152,7 @@ class ValidationService:
             raise ServiceError(f"unknown schema_id {schema_id!r} (register it first)")
         return handle
 
-    def _validate_one(
+    async def _validate_one(
         self,
         handle: CompiledSchema,
         document: str,
@@ -154,9 +160,20 @@ class ValidationService:
         trace: Trace | None,
     ) -> tuple[dict[str, Any], BudgetExceededError | None]:
         """One three-valued validation: the result row plus the trip (if
-        any) for callers that need to stop a batch."""
+        any) for callers that need to stop a batch.
+
+        Runs :meth:`CompiledSchema.validate_steps` one slice at a time and
+        awaits one event-loop turn between slices, so a large document
+        holds the loop for one slice at most.  The step generator is
+        closed in this task: a cancelled request unwinds its facade
+        context here, not later in the garbage collector."""
+        steps = handle.validate_steps(document, budget=budget, trace=trace)
         try:
-            result = handle.validate(document, budget=budget, trace=trace)
+            while True:  # ungoverned: each resume reads one slice of a finite document
+                next(steps)
+                await asyncio.sleep(0)
+        except StopIteration as finished:
+            result = finished.value
         except BudgetExceededError as error:
             _count("service.budget_trips.validate")
             row = {
@@ -169,6 +186,8 @@ class ValidationService:
                 },
             }
             return row, error
+        finally:
+            steps.close()
         row = {
             "verdict": "valid" if result.valid else "invalid",
             "valid": result.valid,
@@ -204,7 +223,7 @@ class ValidationService:
             else self._resolve(schema_id)
         )
         request_budget = self._request_budget(budget, deadline_ms, max_states, max_steps)
-        row, _ = self._validate_one(handle, document, request_budget, trace)
+        row, _ = await self._validate_one(handle, document, request_budget, trace)
         return row
 
     async def validate_batch(
@@ -236,7 +255,7 @@ class ValidationService:
         results: list[dict[str, Any]] = []
         trip: BudgetExceededError | None = None
         for document in documents:
-            row, trip = self._validate_one(handle, document, request_budget, trace)
+            row, trip = await self._validate_one(handle, document, request_budget, trace)
             results.append(row)
             if trip is not None:
                 _count("service.budget_trips.validate_batch")

@@ -31,9 +31,10 @@ never leaks into pickles) and runs the loops on int bitmasks:
 * :func:`edtd_possible_types` — EDTD bottom-up type inference on the
   arena: per-(type, content-DFA-state) chunk tables over child *type
   masks* replace the per-node Python-set subset simulation.
-* :func:`edtd_accepts_events` — the same typing run in document order
+* :func:`edtd_accept_steps` — the same typing run in document order
   over tokenizer events, with candidates pruned top-down by the parent's
-  live content-DFA states: one pass from XML text to verdict, no tree.
+  live content-DFA states: one pass from XML text to verdict, no tree,
+  as a generator that hands back after every slice of events.
 * structural-hash memo caches (:func:`cached_bta_determinize`,
   :func:`cached_bta_from_edtd`, and the ``edtd_includes`` verdict cache
   in :mod:`repro.tree_automata.inclusion`) with recorded-cost budget
@@ -52,9 +53,9 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from collections.abc import Hashable, Iterable
+from collections.abc import Generator, Hashable, Iterable
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, TypeVar
 
 from repro import observability as _obs
 from repro.errors import AutomatonError
@@ -85,6 +86,7 @@ except ImportError:  # pragma: no cover
 
 State = Hashable
 Symbol = Hashable
+_T = TypeVar("_T")
 
 #: Set to False to force the scalar loops even when numpy is importable
 #: (same contract as :data:`repro.strings.kernels.USE_FAST_PATH`).
@@ -653,11 +655,20 @@ def bta_accepts(bta: "_BTA", tree: "_Tree") -> bool:
 # ----------------------------------------------------------------------
 
 #: Configuration of the root's virtual parent in the stepwise evaluator
-#: (:func:`edtd_accepts_events`): pseudo-type -1, whose content model is
+#: (:func:`edtd_accept_steps`): pseudo-type -1, whose content model is
 #: "exactly one start-typed root".  DFA state bit 1 awaits the root; bit
 #: 2 means an accepted root has closed.
 _DOCUMENT: tuple[int, ...] = (-1, 1)
 _ACCEPTED: tuple[int, ...] = (-1, 2)
+
+#: Tag events the stepwise evaluator reads between two hand-backs to its
+#: driver (:func:`edtd_accept_steps`).  On a 2-vCPU Xeon VM one slice of
+#: a large document is about 1.7 ms of work, so a service that awaits
+#: between slices holds its event loop that long at a time, and the
+#: await costs about 9-15 us, under 1% of a slice.  Shorter slices shorten
+#: the wait of small requests, longer ones the cost of the awaits
+#: (docs/PERFORMANCE.md has the sweep).
+SLICE_EVENTS = 1024
 
 #: Cap on the stepwise evaluator's remembered transitions per schema, so
 #: hostile documents against a general EDTD cannot grow a hot handle's
@@ -667,7 +678,7 @@ _STEP_MEMO_CAP = 1 << 16
 
 class _EDTDTables:
     """Per-EDTD typing tables for arena-based bottom-up type inference
-    and for the stepwise evaluator :func:`edtd_accepts_events`.
+    and for the stepwise evaluator :func:`edtd_accept_steps`.
 
     Types are bit indices; per type, the content DFA's states are bit
     indices too, and the subset simulation over a child's *type mask*
@@ -918,10 +929,16 @@ def edtd_accepts(edtd: "_EDTD", tree: "_Tree") -> bool:
     return bool(result[0] & tables.start_mask)
 
 
-def edtd_accepts_events(edtd: "_EDTD", events: Iterable[tuple[str, Symbol]]) -> bool:
+def edtd_accept_steps(
+    edtd: "_EDTD", events: Iterable[tuple[str, Symbol]]
+) -> Generator[None, None, bool]:
     """One-pass acceptance of a document given as tag events — the
     :func:`repro.trees.xml_io.xml_events` stream — in O(depth) memory,
-    with no tree built.
+    with no tree built, as a resumable loop: the generator reads the
+    events in slices of :data:`SLICE_EVENTS`, yields after every full
+    slice and returns the verdict.  A document shorter than one slice
+    never yields.  :func:`run_steps` drives it to the end; the service
+    awaits one event-loop turn between slices instead.
 
     At a start tag the element's candidate types are its label's types,
     narrowed to those its parent's live content-DFA states can step on
@@ -937,39 +954,57 @@ def edtd_accepts_events(edtd: "_EDTD", events: Iterable[tuple[str, Symbol]]) -> 
 
     *events* must be well formed, as ``xml_events`` guarantees by
     raising.  Once no candidate is left the verdict is ``False``, but
-    the rest of the stream is still read, so a malformed document still
-    raises and every element is still charged.
+    the rest of the stream is still read, slice by slice, so a malformed
+    document still raises and every element is still charged.
     """
     tables = _tables_of(edtd)
     opens, closes = tables.opens, tables.closes
     stack: list[tuple[int, ...]] = []
     top = _DOCUMENT
     stream = iter(events)
-    for kind, label in stream:
-        if kind == CLOSE:
-            parent = stack.pop()
-            try:
-                top = closes[parent][top]
-            except KeyError:
-                top = tables.close_child(parent, top)
-        else:
-            try:
-                child = opens[top][label]
-            except KeyError:
-                child = tables.open_child(top, label)
-            if kind == OPEN:
-                stack.append(top)
-                top = child
-            else:
-                try:
-                    top = closes[top][child]
-                except KeyError:
-                    top = tables.close_child(top, child)
-        if not top:
-            for _ in stream:  # the verdict is known; read on for the checks
-                pass
-            return False
+    for chunk in iter(lambda: tuple(itertools.islice(stream, SLICE_EVENTS)), ()):
+        if top:  # once no candidate is left, slices are only read
+            for kind, label in chunk:
+                if kind == CLOSE:
+                    parent = stack.pop()
+                    try:
+                        top = closes[parent][top]
+                    except KeyError:
+                        top = tables.close_child(parent, top)
+                else:
+                    try:
+                        child = opens[top][label]
+                    except KeyError:
+                        child = tables.open_child(top, label)
+                    if kind == OPEN:
+                        stack.append(top)
+                        top = child
+                    else:
+                        try:
+                            top = closes[top][child]
+                        except KeyError:
+                            top = tables.close_child(top, child)
+                if not top:
+                    break
+        if len(chunk) == SLICE_EVENTS:
+            yield
     return top == _ACCEPTED
+
+
+def run_steps(steps: Generator[None, None, _T]) -> _T:
+    """Resume a step generator (:func:`edtd_accept_steps`,
+    :meth:`repro.api.CompiledSchema.validate_steps`) until it returns,
+    and return its value.  The generator is closed on the way out, so
+    an interrupt between two slices unwinds it here, in the caller's
+    context, and not later in the garbage collector's."""
+    try:
+        while True:  # ungoverned: each resume reads one slice of a finite stream
+            next(steps)
+    except StopIteration as finished:
+        value: _T = finished.value
+        return value
+    finally:
+        steps.close()
 
 
 # ----------------------------------------------------------------------

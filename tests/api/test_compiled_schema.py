@@ -16,7 +16,7 @@ from repro.api import (
     schema_includes,
     validate,
 )
-from repro.errors import BudgetExceededError
+from repro.errors import AutomatonError, BudgetExceededError
 from repro.families.hard import example_2_6, theorem_3_2_family, theorem_3_6_family
 from repro.observability import METRICS
 from repro.runtime import Budget
@@ -60,6 +60,10 @@ class TestCompileSchema:
         blind = compile_schema(store_schema, strategy="blind")
         guided = compile_schema(store_schema, strategy="schema-guided")
         assert blind.schema_id != guided.schema_id
+
+    def test_unknown_strategy_raises_before_compiling(self, store_schema):
+        with pytest.raises(AutomatonError, match="unknown determinization strategy 'bogus'"):
+            compile_schema(store_schema, strategy="bogus")
 
     def test_single_type_classification(self, store_schema):
         assert compile_schema(store_schema).is_single_type

@@ -4,12 +4,16 @@
 the stepwise evaluator, with no tree.  Its oracle is the tree route:
 ``from_xml`` followed by ``EDTD.possible_types_reference`` (and, on
 single-type schemas, ``validate_top_down``).  Budgets charge one step per
-element as it is read, so limits trip during the parse.
+element as it is read, so limits trip during the parse.  The service runs
+the same evaluator in slices: its answers, steps, trip points and errors
+must equal the synchronous driver's, other tasks must run between slices,
+and a cancelled validation must unwind in its own task.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import random
 import sys
 import threading
@@ -17,19 +21,24 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro import api
+from repro import observability as _obs
 from repro.api import compile_schema, validate
+from repro.cache import store as _cache_store
 from repro.errors import BudgetExceededError, TreeSyntaxError
+from repro.faults import current_plan
 from repro.families.random_schemas import random_edtd
 from repro.runtime import clock
-from repro.runtime.budget import Budget
+from repro.runtime.budget import Budget, current_budget
 from repro.schemas.dtd import DTD
 from repro.schemas.edtd import EDTD
-from repro.schemas.text_format import dumps
+from repro.schemas.text_format import dumps, loads
 from repro.service import ValidationService
 from repro.tree_automata import kernels
+from repro.tree_automata.kernels import SLICE_EVENTS
 from repro.trees.generate import sample_tree
 from repro.trees.tree import Tree
-from repro.trees.xml_io import from_xml, to_xml
+from repro.trees.xml_io import CLOSE, from_xml, to_xml, xml_events
 from tests.strategies import LABELS, examples, mutate_tree, single_type_edtds
 
 
@@ -247,3 +256,241 @@ class TestMemoCap:
         assert not any(worker.is_alive() for worker in workers)
         assert not wrong
         assert _remembered_entries(kernels._tables_of(handle._reduced)) <= 40
+
+
+# ----------------------------------------------------------------------
+# Slices: the service's sliced driver against the synchronous one
+# ----------------------------------------------------------------------
+
+# A general EDTD: two `div` types in one content model, so the evaluator
+# carries two candidates per open `div`.
+DEEP_TEXT = """\
+alphabet: doc div p
+start: t_doc
+t_doc [doc] -> (t_d1 | t_d2)*
+t_d1 [div] -> t_p, (t_d1 | t_d2)*
+t_d2 [div] -> (t_d1 | t_d2)*, t_p, t_p
+t_p [p] -> ~
+"""
+DEEP = loads(DEEP_TEXT)
+
+
+def _deep_document(columns: int, levels: int, break_at=None) -> tuple[str, int]:
+    """Columns of *levels* nested divs, each typed t_d1 or t_d2 at random,
+    and its element count.  The div at (column, level) *break_at* gets
+    one trailing p instead of two, which neither div type accepts."""
+    rng = random.Random(3)
+    parts, count = ["<doc>"], 1
+    for column in range(columns):
+        opening, closing = [], []
+        for level in range(levels):
+            broken = (column, level) == break_at
+            if broken or rng.random() < 0.5:  # t_d2: child divs, then p p
+                opening.append("<div>")
+                closing.append("<p/></div>" if broken else "<p/><p/></div>")
+                count += 2 if broken else 3
+            else:  # t_d1: p, then child divs
+                opening.append("<div><p/>")
+                closing.append("</div>")
+                count += 2
+        parts += opening + closing[::-1]
+    parts.append("</doc>")
+    return "".join(parts), count
+
+
+DEEP_VALID, DEEP_ELEMENTS = _deep_document(90, 150)
+DEEP_INVALID, _ = _deep_document(90, 150, break_at=(45, 100))
+ROW_VALID = "<r>" + "<x/>" * (ELEMENTS - 1) + "</r>"
+ROW_EARLY_INVALID = "<r><r/>" + "<x/>" * (ELEMENTS - 2) + "</r>"
+ROW_LATE_INVALID = "<r>" + "<x/>" * (ELEMENTS - 2) + "<r/></r>"
+
+SLICED_CASES = [
+    (ROW, ROW_VALID, True),
+    (ROW, ROW_EARLY_INVALID, False),
+    (ROW, ROW_LATE_INVALID, False),
+    (DEEP, DEEP_VALID, True),
+    (DEEP, DEEP_INVALID, False),
+]
+
+
+def _slice_ends(text: str, count: int) -> list[int]:
+    """The element read last in each of the first *count* slices."""
+    elements, ends = 0, []
+    for index, (kind, _) in enumerate(xml_events(text), 1):
+        elements += kind != CLOSE
+        if index % SLICE_EVENTS == 0:
+            ends.append(elements)
+            if len(ends) == count:
+                break
+    return ends
+
+
+def _service_rows(handle, text, budget_of):
+    """The rows of ``validate`` and of a one-document ``validate_batch``,
+    each under its own budget from *budget_of*, with the budgets."""
+
+    async def scenario():
+        service = ValidationService(capacity=2)
+        single_budget, batch_budget = budget_of(), budget_of()
+        single = await service.validate(handle, text, budget=single_budget)
+        batch = await service.validate_batch(handle, [text], budget=batch_budget)
+        return single, single_budget, batch["results"][0], batch_budget
+
+    return asyncio.run(scenario())
+
+
+class TestSlicedDriver:
+    def test_documents_span_several_slices(self):
+        assert DEEP_ELEMENTS >= 30_000
+        assert len(_slice_ends(ROW_VALID, 3)) == 3
+        assert len(_slice_ends(DEEP_VALID, 3)) == 3
+
+    @pytest.mark.parametrize("schema, text, expected", SLICED_CASES)
+    def test_verdicts_and_steps_agree(self, schema, text, expected):
+        assert _tree_route(schema, text) == expected
+        handle = compile_schema(schema)
+        direct = handle.validate(text)
+        assert direct.valid == expected
+        single, _, batched, _ = _service_rows(handle, text, Budget)
+        for row in (single, batched):
+            assert row["valid"] == expected
+            assert row["steps"] == direct.usage.steps
+
+    @pytest.mark.parametrize("schema, text", [(ROW, ROW_VALID), (DEEP, DEEP_VALID)])
+    def test_max_steps_trips_at_the_same_element(self, schema, text):
+        handle = compile_schema(schema)
+        for end in _slice_ends(text, 2):
+            for element in (end - 1, end, end + 1):
+                with pytest.raises(BudgetExceededError) as caught:
+                    handle.validate(text, budget=Budget(max_steps=element - 1))
+                assert caught.value.progress.steps == element
+                single, single_budget, batched, batch_budget = _service_rows(
+                    handle, text, lambda: Budget(max_steps=element - 1)
+                )
+                for row, budget in ((single, single_budget), (batched, batch_budget)):
+                    assert row["verdict"] == "unknown"
+                    assert row["error"]["reason"] == "max-steps"
+                    assert budget.steps == element
+
+    def test_same_syntax_error(self):
+        handle = compile_schema(ROW)
+
+        def details(error):
+            assert isinstance(error, TreeSyntaxError)
+            return str(error), error.line, error.column
+
+        async def through_service():
+            service = ValidationService(capacity=2)
+            single = await _raised(service.validate(handle, BROKEN))
+            batched = await _raised(service.validate_batch(handle, [ROW_VALID, BROKEN]))
+            return details(single), details(batched)
+
+        with pytest.raises(TreeSyntaxError) as direct:
+            handle.validate(BROKEN)
+        assert asyncio.run(through_service()) == (details(direct.value),) * 2
+
+
+async def _raised(coroutine):
+    """The exception *coroutine* raises (it must raise one)."""
+    try:
+        await coroutine
+    except Exception as error:  # returned for inspection
+        return error
+    raise AssertionError("no exception raised")
+
+
+class TestEventLoopTurns:
+    def test_other_tasks_run_between_slices(self):
+        async def scenario():
+            service = ValidationService(capacity=2)
+            info = await service.register_schema(DEEP_TEXT)
+            turns = 0
+            done = False
+
+            async def ticker():
+                nonlocal turns
+                while not done:
+                    turns += 1
+                    await asyncio.sleep(0)
+
+            ticking = asyncio.create_task(ticker())
+            row = await service.validate(info["schema_id"], DEEP_VALID)
+            done = True
+            await ticking
+            return row, turns
+
+        row, turns = asyncio.run(scenario())
+        assert row["verdict"] == "valid"
+        assert turns >= DEEP_ELEMENTS / (2 * SLICE_EVENTS)
+
+    def test_a_short_document_takes_no_turn(self):
+        async def scenario():
+            service = ValidationService(capacity=2)
+            handle = compile_schema(ROW)
+            turns = 0
+
+            async def ticker():
+                nonlocal turns
+                turns += 1
+
+            ticking = asyncio.create_task(ticker())
+            row = await service.validate(handle, "<r>" + "<x/>" * 500 + "</r>")
+            seen = turns
+            await ticking
+            return row, seen
+
+        row, seen = asyncio.run(scenario())
+        assert row["verdict"] == "valid" and row["steps"] == 501
+        assert seen == 0
+
+
+def _ambient():
+    """Every ambient ContextVar a facade call may set, plus the process-wide
+    tracing depth its owned trace bumps."""
+    return (
+        current_budget(),
+        _obs.current_trace(),
+        _obs.current_span(),
+        _cache_store._ACTIVE.get(),
+        api._AMBIENT_SETTINGS.get(),
+        current_plan(),
+        _obs._DEPTH,
+    )
+
+
+class TestCancellation:
+    def test_cancel_mid_document_unwinds_in_the_task(self, monkeypatch):
+        unraisable: list = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+
+        async def scenario():
+            service = ValidationService(capacity=2)
+            info = await service.register_schema(DEEP_TEXT)
+            before = _ambient()
+            after: list = []
+
+            async def validate_and_report():
+                try:
+                    await service.validate(info["schema_id"], DEEP_VALID)
+                except asyncio.CancelledError:
+                    after.append(_ambient())
+                    raise
+
+            task = asyncio.create_task(validate_and_report())
+            for _ in range(5):
+                await asyncio.sleep(0)
+            assert not task.done()
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            del task
+            gc.collect()
+            row = await service.validate(info["schema_id"], "<doc><div><p/></div></doc>")
+            return before, after, _ambient(), row
+
+        before, after, outside, row = asyncio.run(scenario())
+        gc.collect()
+        assert not unraisable
+        assert after == [before]
+        assert outside == before
+        assert row["verdict"] == "valid"

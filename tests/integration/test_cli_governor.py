@@ -70,6 +70,10 @@ class TestBudgetFlags:
         assert main(["--timeout", "-1", "info", orders]) == EXIT_BAD_INPUT
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_nan_timeout_is_bad_input(self, orders, capsys):
+        assert main(["--timeout", "nan", "info", orders]) == EXIT_BAD_INPUT
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestBadInputExitCode:
     def test_missing_schema_file_exits_2(self, capsys):

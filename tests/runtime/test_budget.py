@@ -40,6 +40,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Budget(timeout=-0.5)
 
+    def test_nan_timeout_rejected(self):
+        # NaN passes a `timeout < 0` test and would switch the deadline off.
+        with pytest.raises(ValueError):
+            Budget(timeout=float("nan"))
+        assert Budget(timeout=float("inf")).deadline == float("inf")
+
     def test_deadline_overrides_timeout(self):
         deadline = time.monotonic() + 100.0
         budget = Budget(timeout=1.0, deadline=deadline)

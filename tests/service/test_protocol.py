@@ -110,6 +110,13 @@ class TestFieldExtraction:
         with pytest.raises(ProtocolError, match=">= 0"):
             get_number({"a": -1}, "a")
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_get_number_rejects_non_finite(self, literal):
+        payload = json.loads('{"a": %s}' % literal)
+        with pytest.raises(ProtocolError, match="finite"):
+            get_number(payload, "a")
+        assert get_number({"a": 10**400}, "a", integer=True) == 10**400
+
     def test_get_number_integer_mode(self):
         assert get_number({"a": 3}, "a", integer=True) == 3
         with pytest.raises(ProtocolError, match="integer"):

@@ -163,6 +163,20 @@ class TestWireBoundary:
         assert response["ok"] is False
         assert "Error" in response["error"]["type"]
 
+    def test_unknown_strategy_is_rejected_before_compiling(self):
+        async def scenario():
+            service = ValidationService(capacity=4)
+            response = await service.handle_request(
+                {"id": 1, "op": "register_schema", "schema": AB_TEXT, "strategy": "bogus"}
+            )
+            return response, service.registry.stats()
+
+        response, stats = run(scenario())
+        assert response["ok"] is False
+        assert response["error"]["type"] == "AutomatonError"
+        assert "'bogus'" in response["error"]["message"]
+        assert stats["compiles"] == 0 and stats["size"] == 0
+
     def test_inline_schema_and_reuse_false(self):
         async def scenario():
             service = ValidationService(capacity=4)
@@ -262,6 +276,49 @@ class TestTcpRoundTrip:
         # ghost ids; id 5 has no op at all and fails protocol decode
         assert malformed["ok"] is False
         assert malformed["error"]["type"] == "ProtocolError"
+
+    def test_non_finite_numbers_are_protocol_errors(self):
+        # json.loads accepts NaN and Infinity; a NaN deadline used to
+        # switch the deadline off.
+        async def scenario():
+            service = ValidationService(capacity=4)
+            server = await service.start(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                registered = await self._send(
+                    reader, writer, {"id": 1, "op": "register_schema", "schema": AB_TEXT}
+                )
+                schema_id = registered["result"]["schema_id"]
+                answers = []
+                for literal in ("NaN", "Infinity"):
+                    writer.write(
+                        (
+                            '{"id": 2, "op": "validate", "schema_id": "%s", '
+                            '"document": "%s", "deadline_ms": %s}\n'
+                            % (schema_id, VALID_DOC, literal)
+                        ).encode()
+                    )
+                    await writer.drain()
+                    answers.append(json.loads(await reader.readline()))
+                valid = await self._send(
+                    reader,
+                    writer,
+                    {"id": 3, "op": "validate", "schema_id": schema_id, "document": VALID_DOC},
+                )
+                return answers, valid
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+
+        answers, valid = run(scenario())
+        for answer in answers:
+            assert answer["ok"] is False
+            assert answer["error"]["type"] == "ProtocolError"
+            assert "finite" in answer["error"]["message"]
+        assert valid["ok"] and valid["result"]["verdict"] == "valid"
 
     def test_connection_survives_errors(self):
         async def scenario():
