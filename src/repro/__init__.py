@@ -130,7 +130,6 @@ from repro.runtime import (
 )
 from repro.schemas import (
     DTD,
-    StreamingValidator,
     EDTD,
     DFAXSD,
     SingleTypeEDTD,
@@ -222,6 +221,5 @@ __all__ = [
     "difference_witness",
     "greedy_maximal_lower",
     "inclusion_counterexample",
-    "StreamingValidator",
     "__version__",
 ]

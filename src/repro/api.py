@@ -73,6 +73,7 @@ from repro.core.upper import minimal_upper_approximation
 from repro.errors import AutomatonError, BudgetExceededError
 from repro.observability import Trace
 from repro.runtime.budget import Budget, resolve_budget
+from repro.schemas.dtd import DTD
 from repro.schemas.edtd import EDTD
 from repro.schemas.inclusion import included_in_single_type
 from repro.schemas.st_edtd import SingleTypeEDTD
@@ -82,7 +83,10 @@ from repro.strings.kernels import _recharge
 from repro.tree_automata.inclusion import edtd_includes
 from repro.tree_automata.kernels import _tables_of, edtd_accept_steps, run_steps
 from repro.trees.tree import Tree
-from repro.trees.xml_io import from_xml, xml_events
+from repro.trees.xml_io import events_of_tree, xml_events
+# Not called here: wirebench/traced_server.py wraps ``repro.api.from_xml``
+# by name to time the parse layer.
+from repro.trees.xml_io import from_xml  # noqa: F401
 
 __all__ = [
     "ApproximationResult",
@@ -492,14 +496,14 @@ class CompiledSchema:
         hardened tokenizer (:func:`repro.trees.xml_io.xml_events`) feeds
         the stepwise evaluator on the reduced schema's hot tables
         (:func:`repro.tree_automata.kernels.edtd_accept_steps`), and no
-        tree is built.  A :class:`Tree` runs through the reduced schema's
-        ``accepts`` without yielding.  Either way the budget's
-        deadline/cancellation is checked before the first element and one
-        step is charged per element — for a string, as the element is
-        read, so per-request deadlines and ``max_steps`` (the service maps
-        ``deadline_ms`` / ``max_steps`` here) trip during the parse at
-        deterministic points.  *checkpoint* is accepted for
-        keyword-surface uniformity but unused.
+        tree is built.  A :class:`Tree` feeds the same evaluator its tag
+        events (:func:`repro.trees.xml_io.events_of_tree`).  Either way
+        the budget's deadline/cancellation is checked before the first
+        element and one step is charged per element as the element is
+        read, so per-request deadlines and ``max_steps`` (the service
+        maps ``deadline_ms`` / ``max_steps`` here) trip at the same
+        deterministic points for a tree as for its text.  *checkpoint*
+        is accepted for keyword-surface uniformity but unused.
         """
         del checkpoint  # no resumable phase
         with _FacadeCall("validate", budget, trace, self._call_cache(cache)) as call:
@@ -507,13 +511,10 @@ class CompiledSchema:
                 "validate", trace=call.trace, budget=call.budget
             ) as span:
                 if isinstance(document, str):
-                    valid = yield from edtd_accept_steps(
-                        self._reduced, xml_events(document, budget=call.budget)
-                    )
+                    events = xml_events(document, budget=call.budget)
                 else:
-                    call.budget.check()
-                    call.budget.tick(document.size())
-                    valid = self._reduced.accepts(document)
+                    events = events_of_tree(document, budget=call.budget)
+                valid = yield from edtd_accept_steps(self._reduced, events)
                 usage = call.usage()
                 if span is not None:
                     span.annotate(valid=valid, nodes=usage.steps)
@@ -746,11 +747,13 @@ class CompiledSchema:
 
 
 def _compile(
-    schema: "EDTD | str", strategy: str, cache: "_cache.CacheArg"
+    schema: "EDTD | DTD | str", strategy: str, cache: "_cache.CacheArg"
 ) -> CompiledSchema:
     """The raw compile step behind :func:`compile_schema` (no facade)."""
     if isinstance(schema, str):
         schema = _loads_schema(schema)
+    elif isinstance(schema, DTD):
+        schema = schema.to_edtd()
     reduced = schema.reduced()
     key = _cache.schema_structural_key(schema)
     if key is not None:
@@ -777,8 +780,21 @@ def _compile(
     )
 
 
+def resolve_strategy(strategy: str | None) -> str:
+    """*strategy*, or the active :class:`Settings` default when it is
+    ``None``; an unknown strategy raises :class:`AutomatonError`."""
+    if strategy is None:
+        return current_settings().strategy
+    if strategy not in STRATEGIES:
+        raise AutomatonError(
+            f"unknown determinization strategy {strategy!r} "
+            "(expected 'blind' or 'schema-guided')"
+        )
+    return strategy
+
+
 def compile_schema(
-    schema: "EDTD | str",
+    schema: "EDTD | DTD | str",
     *,
     strategy: str | None = None,
     budget: Budget | None = None,
@@ -786,8 +802,8 @@ def compile_schema(
     trace: Trace | None = None,
     cache: "_cache.CacheArg" = None,
 ) -> CompiledSchema:
-    """Compile *schema* (an EDTD, or its text-format source) into a frozen
-    :class:`CompiledSchema` handle.
+    """Compile *schema* (an EDTD, a DTD, or an EDTD's text-format source)
+    into a frozen :class:`CompiledSchema` handle.
 
     Pays once for reduction, the structural fingerprint / content
     address, the single-type classification, and the integer-coded
@@ -800,13 +816,7 @@ def compile_schema(
     anything is compiled.
     """
     del checkpoint  # no resumable phase
-    if strategy is None:
-        strategy = current_settings().strategy
-    elif strategy not in STRATEGIES:
-        raise AutomatonError(
-            f"unknown determinization strategy {strategy!r} "
-            "(expected 'blind' or 'schema-guided')"
-        )
+    strategy = resolve_strategy(strategy)
     with _FacadeCall("compile-schema", budget, trace, cache) as call:
         with _obs.construction_span(
             "compile-schema", trace=call.trace, budget=call.budget
@@ -835,10 +845,10 @@ def compile_schema(
 #: :func:`clear_handles` can strip them.
 _HANDLE_ATTR = "_repro_compiled_handle"
 _HANDLE_LOCK = threading.Lock()
-_MEMOIZED_SCHEMAS: "weakref.WeakSet[EDTD]" = weakref.WeakSet()
+_MEMOIZED_SCHEMAS: "weakref.WeakSet[EDTD | DTD]" = weakref.WeakSet()
 
 
-def _handle_for(schema: EDTD) -> CompiledSchema:
+def _handle_for(schema: "EDTD | DTD") -> CompiledSchema:
     """The memoized handle for *schema*: compiled at most once per schema
     object (per ambient strategy), concurrent first calls deduplicated
     under a lock."""
@@ -1000,7 +1010,7 @@ def schema_equivalent(
 
 
 def validate(
-    schema: EDTD,
+    schema: "EDTD | DTD",
     document: "Tree | str",
     *,
     budget: Budget | None = None,
@@ -1009,7 +1019,8 @@ def validate(
     cache: "_cache.CacheArg" = None,
 ) -> ValidationResult:
     """Validate *document* (a :class:`Tree` or an element-only XML
-    fragment string) against *schema*.
+    fragment string) against *schema* (an EDTD, or a DTD through its
+    EDTD view :meth:`repro.schemas.dtd.DTD.to_edtd`).
 
     Thin wrapper over :meth:`CompiledSchema.validate` on the per-object
     handle, so repeat validations against the same schema object run on
@@ -1017,25 +1028,6 @@ def validate(
     keyword-surface uniformity but unused — validation has no resumable
     phase.
     """
-    if not isinstance(schema, EDTD):
-        # DTDs and other accepts()-bearing schema objects take the direct
-        # route: handles are an EDTD-only amortization.  They are charged
-        # like the handle route: a check, then one step per element.
-        del checkpoint  # no resumable phase
-        with _FacadeCall("validate", budget, trace, cache) as call:
-            with _obs.construction_span(
-                "validate", trace=call.trace, budget=call.budget
-            ) as span:
-                if isinstance(document, str):
-                    tree = from_xml(document, budget=call.budget)
-                else:
-                    tree = document
-                    call.budget.check()
-                    call.budget.tick(tree.size())
-                valid = schema.accepts(tree)
-                if span is not None:
-                    span.annotate(valid=valid, nodes=tree.size())
-            return ValidationResult(valid=valid, trace=call.trace, usage=call.usage())
     return _handle_for(schema).validate(
         document, budget=budget, checkpoint=checkpoint, trace=trace, cache=cache
     )

@@ -70,7 +70,6 @@ from repro.schemas.minimize import minimize_single_type
 from repro.schemas.st_edtd import SingleTypeEDTD
 from repro.schemas.text_format import dumps, load_file
 from repro.schemas.type_automaton import is_single_type
-from repro.trees.xml_io import from_xml
 
 
 def _load_single_type(path: str) -> SingleTypeEDTD:
@@ -115,10 +114,13 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from repro.api import validate
+
     schema = load_file(args.schema)
     with open(args.document, encoding="utf-8") as handle:
-        tree = from_xml(handle.read())
-    if schema.accepts(tree):
+        text = handle.read()
+    # One governed pass from text to verdict, under the command's budget.
+    if validate(schema, text).valid:
         print("valid")
         return 0
     print("INVALID")

@@ -15,11 +15,12 @@ from repro.schemas.ops import (
 )
 from repro.schemas.recursion import depth_bound, is_depth_bounded_by, is_non_recursive
 from repro.schemas.st_edtd import SingleTypeEDTD
-from repro.schemas.streaming import StreamingValidator, events_of_tree, validate_events, validate_xml_stream
+from repro.schemas.streaming import validate_events, validate_xml_stream
 from repro.schemas.text_format import dumps as dumps_schema, loads as loads_schema
 from repro.schemas.xsd_export import export_xsd
 from repro.schemas.xsd_import import import_xsd
 from repro.schemas.type_automaton import Q_INIT, assignable_types, is_single_type, type_automaton
+from repro.trees.xml_io import events_of_tree
 
 __all__ = [
     "DFAXSD",
@@ -44,7 +45,6 @@ __all__ = [
     "minimize_single_type",
     "representation_sizes",
     "single_type_equivalent",
-    "StreamingValidator",
     "events_of_tree",
     "export_xsd",
     "import_xsd",

@@ -7,12 +7,12 @@ language.
 
 The class implements:
 
-* membership (:meth:`EDTD.accepts`) with witness typings
-  (:meth:`EDTD.typed_witness`),
+* membership (:meth:`EDTD.accepts`, one pass over the tree's tag events)
+  with witness typings (:meth:`EDTD.typed_witness`),
 * reduction (Proviso 2.3): removal of unproductive and unreachable types,
 * the paper's size measures,
-* bottom-up type inference (:meth:`EDTD.possible_types`), the engine behind
-  validation and several constructions.
+* bottom-up type inference (:meth:`EDTD.possible_types`), which computes
+  the typing itself, not just a verdict, for witnesses and constructions.
 """
 
 from __future__ import annotations
@@ -197,14 +197,17 @@ class EDTD:
         return bool(current & dfa.finals)
 
     def accepts(self, tree: Tree) -> bool:
-        """True iff ``tree`` is in ``L(D)``."""
-        if tree.label not in self.alphabet:
-            return False
-        if not tree.labels() <= self.alphabet:
-            return False
-        from repro.tree_automata.kernels import edtd_accepts
+        """True iff ``tree`` is in ``L(D)``: the tree's tag events
+        (:func:`repro.trees.xml_io.events_of_tree`) run through the
+        stepwise evaluator
+        (:func:`repro.tree_automata.kernels.edtd_accept_steps`), the one
+        loop that decides membership for trees, event streams and text.
+        A label outside the alphabet leaves its element no candidate
+        type."""
+        from repro.tree_automata.kernels import edtd_accept_steps, run_steps
+        from repro.trees.xml_io import events_of_tree
 
-        return edtd_accepts(self, tree)
+        return run_steps(edtd_accept_steps(self, events_of_tree(tree)))
 
     def typed_witness(self, tree: Tree) -> Tree | None:
         """Return a typing ``t'`` with ``t' in L(d)`` and ``mu(t') == tree``,

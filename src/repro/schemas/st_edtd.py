@@ -2,11 +2,15 @@
 
 A single-type EDTD forbids two distinct types with the same label from
 competing for the same position (the Element Declarations Consistent rule).
-The payoff, implemented here, is deterministic **one-pass top-down
-validation** (:meth:`SingleTypeEDTD.validate_top_down`): the type of every
-node is determined by its ancestor string alone, so validation runs in a
-single traversal without backtracking — contrast with the bottom-up subset
-simulation that general EDTDs require (:meth:`~repro.schemas.edtd.EDTD.accepts`).
+The payoff is **one-pass top-down validation**: the type of every node
+is determined by its parent's type and its own label, so a document
+validates in one traversal without backtracking.  Membership
+(:meth:`~repro.schemas.edtd.EDTD.accepts`) runs the stepwise evaluator
+:func:`repro.tree_automata.kernels.edtd_accept_steps`, which keeps the
+set of candidate types of every open element; on a single-type EDTD that
+set never holds more than one type, so the run is exactly the paper's
+top-down validator.  On a general EDTD the same loop carries several
+candidates per element, which is the bottom-up subset simulation.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from collections.abc import Hashable, Iterable, Mapping
 
 from repro.errors import NotSingleTypeError
 from repro.schemas.edtd import EDTD
-from repro.schemas.type_automaton import is_single_type
+from repro.schemas.type_automaton import assignable_types, is_single_type
 from repro.strings.dfa import DFA
 from repro.strings.nfa import NFA
 from repro.strings.regex import Regex
-from repro.trees.tree import Tree
 
 Symbol = Hashable
 Type = Hashable
@@ -46,71 +49,24 @@ class SingleTypeEDTD(EDTD):
             raise NotSingleTypeError(
                 "two types with the same label compete for the same position"
             )
-        self._start_by_label: dict[Symbol, Type] = {
-            self.mu[t]: t for t in self.starts
-        }
-        # (parent type, child label) -> child type; well-defined by EDC.
-        self._child_type: dict[tuple[Type, Symbol], Type] = {}
-        for type_ in self.types:
-            for occurring in self.occurring_types(type_):
-                self._child_type[(type_, self.mu[occurring])] = occurring
 
     @classmethod
     def from_edtd(cls, edtd: EDTD) -> "SingleTypeEDTD":
         """Upgrade an :class:`EDTD` after checking the single-type property."""
         return cls(edtd.alphabet, edtd.types, edtd.rules, edtd.starts, edtd.mu)
 
-    # ------------------------------------------------------------------
-    # One-pass top-down validation (the EDC benefit)
-    # ------------------------------------------------------------------
+    # The inherited evaluator, bound in this class's own namespace:
+    # wirebench/traced_server.py wraps ``SingleTypeEDTD.accepts`` there
+    # by name to time it as a layer.
+    accepts = EDTD.accepts
 
     def type_of(self, ancestor_string: tuple) -> Type | None:
-        """The unique type of a node with the given ancestor string, or None.
-
-        Runs the (deterministic) type automaton in O(len(ancestor_string)).
-        """
+        """The unique type of a node with the given ancestor string, or
+        None: the state the type automaton reaches on it, which is
+        deterministic on a single-type EDTD (Observation 2.7(3))."""
         if not ancestor_string:
             return None
-        current = self._start_by_label.get(ancestor_string[0])
-        for label in ancestor_string[1:]:
-            if current is None:
-                return None
-            current = self._child_type.get((current, label))
-        return current
-
-    def validate_top_down(self, tree: Tree) -> bool:
-        """Deterministic one-pass top-down validation.
-
-        Every node's type is computed from its parent's type and its label;
-        each node is visited once and its child string is run through one
-        content DFA.  Total time: O(|tree|) automaton steps.
-        """
-        root_type = self._start_by_label.get(tree.label)
-        if root_type is None:
-            return False
-        stack: list[tuple[Tree, Type]] = [(tree, root_type)]
-        while stack:  # ungoverned: one content-DFA run per document node
-            node, type_ = stack.pop()
-            dfa = self.rules[type_]
-            state = dfa.initial
-            child_types: list[Type] = []
-            for child in node.children:
-                child_type = self._child_type.get((type_, child.label))
-                if child_type is None:
-                    return False
-                next_state = dfa.successor(state, child_type)
-                if next_state is None:
-                    return False
-                state = next_state
-                child_types.append(child_type)
-            if state not in dfa.finals:
-                return False
-            stack.extend(zip(node.children, child_types))
-        return True
-
-    def accepts(self, tree: Tree) -> bool:
-        """Membership — overridden to use the fast top-down algorithm."""
-        return self.validate_top_down(tree)
+        return next(iter(assignable_types(self, ancestor_string)), None)
 
     def reduced(self) -> "SingleTypeEDTD":
         """Reduction preserves the single-type property."""

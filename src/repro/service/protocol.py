@@ -46,11 +46,31 @@ OPERATIONS = frozenset(
 _MISSING = object()
 
 
+def _refuse_constant(literal: str) -> Any:
+    raise ProtocolError(f"request is not valid JSON: {literal} is not a finite number")
+
+
+def _finite_float(literal: str) -> float:
+    value = float(literal)
+    if not math.isfinite(value):
+        raise ProtocolError(
+            f"request is not valid JSON: {literal[:40]} is not a finite number"
+        )
+    return value
+
+
+#: Strict JSON numbers.  Plain ``json.loads`` accepts ``NaN`` and
+#: ``Infinity`` and reads an overflowing literal such as ``1e400`` as
+#: infinity; an id holding one would be echoed as text that is not JSON.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant, parse_float=_finite_float)
+
+
 def decode_request(line: "bytes | str") -> dict[str, Any]:
     """Parse one request line into its payload dict.
 
-    Raises :class:`ProtocolError` on oversized lines, non-JSON, non-object
-    payloads, or a missing/unknown ``op``.
+    Raises :class:`ProtocolError` on oversized lines, non-JSON (including
+    the non-finite numbers ``NaN``, ``Infinity`` and overflowing float
+    literals), non-object payloads, or a missing/unknown ``op``.
     """
     if len(line) > MAX_LINE_BYTES:
         raise ProtocolError(f"request line exceeds {MAX_LINE_BYTES} bytes")
@@ -60,8 +80,8 @@ def decode_request(line: "bytes | str") -> dict[str, Any]:
         except UnicodeDecodeError as error:
             raise ProtocolError(f"request is not valid UTF-8: {error}") from error
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as error:
+        payload = _DECODER.decode(line)
+    except ValueError as error:  # JSONDecodeError, or an int too long to convert
         raise ProtocolError(f"request is not valid JSON: {error}") from error
     if not isinstance(payload, dict):
         raise ProtocolError(

@@ -34,7 +34,7 @@ from typing import Any
 
 from repro import cache as _cache
 from repro import observability as _obs
-from repro.api import CompiledSchema, compile_schema, current_settings
+from repro.api import CompiledSchema, compile_schema, resolve_strategy
 from repro.errors import ServiceError
 from repro.observability import Trace
 from repro.runtime.budget import Budget
@@ -96,9 +96,10 @@ class SchemaRegistry:
         """Compile *schema* (an EDTD or its text-format source) into the
         registry, or return the already-hot handle for a structurally
         identical one.  The governed trio is forwarded to
-        :func:`repro.api.compile_schema` on the compile path."""
-        if strategy is None:
-            strategy = current_settings().strategy
+        :func:`repro.api.compile_schema` on the compile path.  An unknown
+        *strategy* raises :class:`repro.errors.AutomatonError` before any
+        counter moves; source text is parsed at most once."""
+        strategy = resolve_strategy(strategy)
         source_key = None
         if isinstance(schema, str):
             source_key = _cache.text_digest(schema)
@@ -110,7 +111,19 @@ class SchemaRegistry:
                     self.hits += 1
                     _count("service.registry.hits")
                     return entry.handle
-        probe = self._probe_id(schema, strategy)
+            # Looked up per call: wirebench/traced_server.py times the
+            # parse by wrapping text_format.loads.
+            from repro.schemas.text_format import loads
+
+            schema = loads(schema)
+        # The schema_id a compile would assign, or None when the schema
+        # is structurally uncacheable.
+        key = _cache.schema_structural_key(schema)
+        probe = (
+            None
+            if key is None
+            else _cache.artifact_digest("compiled-schema", (key, strategy))
+        )
         if probe is None:
             # Structurally uncacheable: no stable address to deduplicate
             # on, so every registration compiles (and is admitted under
@@ -181,16 +194,6 @@ class SchemaRegistry:
                 with self._lock:
                     self._inflight.pop(probe, None)
                 event.set()
-
-    def _probe_id(self, schema: "EDTD | str", strategy: str) -> str | None:
-        """The schema_id *schema* would compile to, without compiling —
-        or ``None`` when the schema is structurally uncacheable."""
-        if isinstance(schema, str):
-            from repro.schemas.text_format import loads
-
-            schema = loads(schema)
-        key = _cache.schema_structural_key(schema)
-        return _cache.artifact_digest("compiled-schema", (key, strategy))
 
     def _admit_locked(self, handle: CompiledSchema, source_key: str | None) -> None:
         entry = self._entries.get(handle.schema_id)

@@ -32,9 +32,10 @@ never leaks into pickles) and runs the loops on int bitmasks:
   arena: per-(type, content-DFA-state) chunk tables over child *type
   masks* replace the per-node Python-set subset simulation.
 * :func:`edtd_accept_steps` — the same typing run in document order
-  over tokenizer events, with candidates pruned top-down by the parent's
-  live content-DFA states: one pass from XML text to verdict, no tree,
-  as a generator that hands back after every slice of events.
+  over tag events, with candidates pruned top-down by the parent's
+  live content-DFA states: the one loop that decides membership, for
+  XML text, event streams and built trees alike, as a generator that
+  hands back after every slice of events.
 * structural-hash memo caches (:func:`cached_bta_determinize`,
   :func:`cached_bta_from_edtd`, and the ``edtd_includes`` verdict cache
   in :mod:`repro.tree_automata.inclusion`) with recorded-cost budget
@@ -923,18 +924,13 @@ def edtd_possible_types(edtd: "_EDTD", tree: "_Tree") -> frozenset[Hashable]:
     return _unmask(result[0], tables.types)
 
 
-def edtd_accepts(edtd: "_EDTD", tree: "_Tree") -> bool:
-    """Arena-based acceptance: start-types intersection on the root mask."""
-    tables, result = edtd_type_masks(edtd, tree)
-    return bool(result[0] & tables.start_mask)
-
-
 def edtd_accept_steps(
     edtd: "_EDTD", events: Iterable[tuple[str, Symbol]]
 ) -> Generator[None, None, bool]:
     """One-pass acceptance of a document given as tag events — the
-    :func:`repro.trees.xml_io.xml_events` stream — in O(depth) memory,
-    with no tree built, as a resumable loop: the generator reads the
+    :func:`repro.trees.xml_io.xml_events` stream of its text, or the
+    :func:`repro.trees.xml_io.events_of_tree` stream of a built tree —
+    in O(depth) memory, as a resumable loop: the generator reads the
     events in slices of :data:`SLICE_EVENTS`, yields after every full
     slice and returns the verdict.  A document shorter than one slice
     never yields.  :func:`run_steps` drives it to the end; the service
@@ -953,9 +949,14 @@ def edtd_accept_steps(
     step.
 
     *events* must be well formed, as ``xml_events`` guarantees by
-    raising.  Once no candidate is left the verdict is ``False``, but
-    the rest of the stream is still read, slice by slice, so a malformed
-    document still raises and every element is still charged.
+    raising and ``events_of_tree`` by construction.  Once no candidate
+    is left the verdict is ``False``, but the rest of the stream is
+    still read, slice by slice, so a malformed document still raises
+    and every element is still charged.
+
+    This is the only loop that decides whether a document belongs to a
+    schema: ``EDTD.accepts``, the facade's ``validate`` and the
+    streaming entry points of :mod:`repro.schemas.streaming` all run it.
     """
     tables = _tables_of(edtd)
     opens, closes = tables.opens, tables.closes

@@ -40,7 +40,9 @@ linear tokenizer, :func:`xml_events`, which applies every check above and
 yields one ``(kind, label)`` event per tag.  Given a
 :class:`repro.runtime.Budget` it checks the budget before the first token
 and charges one step per element as the element is read, so deadlines and
-step limits govern the parse itself.
+step limits govern the parse itself.  :func:`events_of_tree` yields the
+same events, charged the same way, from a :class:`Tree` that is already
+built, so every validator reads one event vocabulary.
 """
 
 from __future__ import annotations
@@ -232,6 +234,38 @@ def xml_events(
         raise _syntax_error(f"unclosed element <{open_labels[-1]}>", text, len(text))
     if not closed:
         raise TreeSyntaxError("no root element found", line=1, column=1)
+
+
+def events_of_tree(
+    tree: Tree, *, budget: "Budget | None" = None
+) -> Iterator[tuple[str, object]]:
+    """The tag events of *tree* in :func:`xml_events`'s vocabulary:
+    ``list(events_of_tree(t)) == list(xml_events(to_xml(t)))`` whenever
+    the labels are tag names, and any hashable label passes through
+    unchanged.  Iterative, so arbitrarily deep trees are safe.
+
+    With a *budget*, the budget is checked before the first element and
+    charged one step per element as the element is read, as
+    :func:`xml_events` charges it.
+    """
+    if budget is not None:
+        budget.check()
+    # A pending item is a node still to open or, for an open element,
+    # its end-tag event: a tuple, never a Tree, whatever the labels are.
+    stack: list[Tree | tuple[str, object]] = [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            yield node
+            continue
+        if budget is not None:
+            budget.tick()
+        if node.children:
+            stack.append((CLOSE, node.label))
+            stack.extend(reversed(node.children))
+            yield OPEN, node.label
+        else:
+            yield LEAF, node.label
 
 
 def from_xml(

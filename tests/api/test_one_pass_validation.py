@@ -1,13 +1,14 @@
-"""One pass from document text to verdict.
+"""One pass from document to verdict.
 
 ``CompiledSchema.validate`` on a string runs the linear tokenizer into
-the stepwise evaluator, with no tree.  Its oracle is the tree route:
-``from_xml`` followed by ``EDTD.possible_types_reference`` (and, on
-single-type schemas, ``validate_top_down``).  Budgets charge one step per
-element as it is read, so limits trip during the parse.  The service runs
-the same evaluator in slices: its answers, steps, trip points and errors
-must equal the synchronous driver's, other tasks must run between slices,
-and a cancelled validation must unwind in its own task.
+the stepwise evaluator, with no tree; on a ``Tree`` it runs the tree's
+tag events into the same evaluator.  Its oracle is the tree route:
+``from_xml`` followed by ``EDTD.possible_types_reference``.  Budgets
+charge one step per element as it is read, so limits trip during the
+parse, and at the same element for a tree as for its text.  The service
+runs the same evaluator in slices: its answers, steps, trip points and
+errors must equal the synchronous driver's, other tasks must run between
+slices, and a cancelled validation must unwind in its own task.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.api import compile_schema, validate
 from repro.cache import store as _cache_store
 from repro.errors import BudgetExceededError, TreeSyntaxError
 from repro.faults import current_plan
-from repro.families.random_schemas import random_edtd
+from repro.families.random_schemas import random_edtd, random_single_type_edtd
 from repro.runtime import clock
 from repro.runtime.budget import Budget, current_budget
 from repro.schemas.dtd import DTD
@@ -38,7 +39,7 @@ from repro.tree_automata import kernels
 from repro.tree_automata.kernels import SLICE_EVENTS
 from repro.trees.generate import sample_tree
 from repro.trees.tree import Tree
-from repro.trees.xml_io import CLOSE, from_xml, to_xml, xml_events
+from repro.trees.xml_io import CLOSE, events_of_tree, from_xml, to_xml, xml_events
 from tests.strategies import LABELS, examples, mutate_tree, single_type_edtds
 
 
@@ -73,7 +74,8 @@ def test_single_type_verdicts_match_the_tree_route(schema, seed):
     handle = compile_schema(schema)
     rng = random.Random(seed)
     tree = mutate_tree(sample_tree(schema, rng, target_size=10), rng, LABELS)
-    assert handle.validate(to_xml(tree)).valid == schema.validate_top_down(tree)
+    expected = bool(schema.possible_types_reference(tree) & schema.starts)
+    assert handle.validate(to_xml(tree)).valid == expected
 
 
 @given(
@@ -200,6 +202,16 @@ class TestDtdRouteIsGoverned:
             with pytest.raises(BudgetExceededError) as caught:
                 validate(schema, self.DOCUMENT, budget=Budget(max_steps=10))
             assert caught.value.progress.steps == 11
+
+    def test_handle_is_memoized_on_the_dtd(self):
+        dtd = DTD(alphabet={"r", "x"}, rules={"r": "x*"}, starts={"r"})
+        assert validate(dtd, "<r><x/></r>").valid
+        handle = getattr(dtd, api._HANDLE_ATTR)
+        assert not validate(dtd, "<x/>").valid
+        assert getattr(dtd, api._HANDLE_ATTR) is handle
+        assert handle.is_single_type
+        for tree in (from_xml("<r><x/><x/></r>"), from_xml("<r><r/></r>")):
+            assert validate(dtd, tree).valid == dtd.accepts(tree)
 
 
 # ----------------------------------------------------------------------
@@ -494,3 +506,152 @@ class TestCancellation:
         assert after == [before]
         assert outside == before
         assert row["verdict"] == "valid"
+
+
+# ----------------------------------------------------------------------
+# A tree and its text: one evaluator, the same charges and trip points
+# ----------------------------------------------------------------------
+
+
+def _outcome(handle, document, max_steps=None):
+    """The verdict and steps of one validation, or where it tripped."""
+    try:
+        result = handle.validate(document, budget=Budget(max_steps=max_steps))
+    except BudgetExceededError as error:
+        return "tripped", error.reason, error.progress.steps
+    return "done", result.valid, result.usage.steps
+
+
+def _trip_limits(size: int) -> list[int]:
+    """Step limits that trip before the first element, at the second,
+    halfway, at the last element and around the end of the first slice."""
+    limits = {0, 1, size // 2, size - 1, SLICE_EVENTS - 1, SLICE_EVENTS + 1}
+    return sorted(limit for limit in limits if limit < size)
+
+
+def _check_tree_text_parity(handle, tree: Tree, text: str, expected: bool) -> None:
+    done = _outcome(handle, tree)
+    assert done == _outcome(handle, text) == ("done", expected, tree.size())
+    for limit in _trip_limits(tree.size()):
+        tripped = _outcome(handle, tree, limit)
+        assert tripped == _outcome(handle, text, limit), limit
+        assert tripped == ("tripped", "max-steps", limit + 1)
+
+
+def _check_sampled_parity(schema: EDTD, seed: int, labels: list) -> None:
+    handle = compile_schema(schema)
+    rng = random.Random(seed)
+    for _ in range(3):
+        tree = sample_tree(schema, rng, target_size=rng.randint(1, 25))
+        for document in (tree, mutate_tree(tree, rng, labels)):
+            expected = bool(schema.possible_types_reference(document) & schema.starts)
+            _check_tree_text_parity(handle, document, to_xml(document), expected)
+
+
+@given(single_type_edtds(), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=examples(40), deadline=None)
+def test_single_type_tree_and_text_agree(schema, seed):
+    _check_sampled_parity(schema, seed, LABELS + ["zz"])
+
+
+@given(
+    st.integers(min_value=0, max_value=2**16),
+    st.integers(min_value=2, max_value=8),
+    st.integers(min_value=2, max_value=4),
+)
+@settings(max_examples=examples(40), deadline=None)
+def test_general_tree_and_text_agree(seed, num_types, num_labels):
+    schema = random_edtd(random.Random(seed), num_labels=num_labels, num_types=num_types)
+    _check_sampled_parity(schema, seed, sorted(schema.alphabet, key=repr) + ["zz"])
+
+
+class TestTreeChargedPerElement:
+    @pytest.mark.parametrize(
+        "schema, text, expected",
+        SLICED_CASES,
+        ids=["row", "row-early-invalid", "row-late-invalid", "deep", "deep-invalid"],
+    )
+    def test_large_tree_trips_where_its_text_trips(self, schema, text, expected):
+        tree = from_xml(text)
+        _check_tree_text_parity(compile_schema(schema), tree, text, expected)
+
+    def test_free_function_trips_during_the_walk(self):
+        tree = from_xml(ROW_VALID)
+        for document in (tree, ROW_VALID):
+            with pytest.raises(BudgetExceededError) as caught:
+                validate(ROW, document, budget=Budget(max_steps=10))
+            assert caught.value.progress.steps == 11
+
+    def test_a_tree_is_validated_in_slices(self):
+        steps = compile_schema(ROW).validate_steps(from_xml(ROW_VALID))
+        slices = 0
+        try:
+            while True:
+                next(steps)
+                slices += 1
+        except StopIteration as finished:
+            result = finished.value
+        assert result.valid and result.usage.steps == ELEMENTS
+        assert slices == len(list(events_of_tree(from_xml(ROW_VALID)))) // SLICE_EVENTS
+
+
+# ----------------------------------------------------------------------
+# The paper's claim: on a single-type EDTD the evaluator holds at most
+# one candidate type per open element
+# ----------------------------------------------------------------------
+
+
+def _remembered_configurations(tables) -> list[tuple[int, ...]]:
+    configurations = []
+    for parent, row in tables.opens.items():
+        configurations += [parent, *row.values()]
+    for parent, row in tables.closes.items():
+        configurations += [parent, *row.keys(), *row.values()]
+    return configurations
+
+
+def _run_documents(schema: EDTD, seed: int):
+    """Validate sampled documents and mutants as trees through
+    ``accepts`` and as text through a handle; return the handle."""
+    handle = compile_schema(schema)
+    rng = random.Random(seed)
+    labels = sorted(schema.alphabet, key=repr) + ["zz"]
+    for _ in range(4):
+        tree = sample_tree(schema, rng, target_size=rng.randint(1, 40))
+        for document in (tree, mutate_tree(tree, rng, labels)):
+            schema.accepts(document)
+            handle.validate(to_xml(document))
+    return handle
+
+
+def _candidates(configuration: tuple[int, ...]) -> int:
+    return len(configuration) // 2
+
+
+@given(single_type_edtds(), st.integers(min_value=0, max_value=2**16))
+@settings(max_examples=examples(60), deadline=None)
+def test_single_type_configurations_hold_one_candidate(schema, seed):
+    handle = _run_documents(schema, seed)
+    for tables in (kernels._tables_of(schema), kernels._tables_of(handle._reduced)):
+        configurations = _remembered_configurations(tables)
+        assert configurations
+        assert max(map(_candidates, configurations)) <= 1
+
+
+def test_random_single_type_configurations_hold_one_candidate():
+    seen = 0
+    for seed in range(40):
+        schema = random_single_type_edtd(random.Random(seed))
+        _run_documents(schema, seed)
+        configurations = _remembered_configurations(kernels._tables_of(schema))
+        assert max(map(_candidates, configurations)) <= 1, seed
+        seen += len(configurations)
+    assert seen > 500
+
+
+def test_a_general_edtd_carries_several_candidates():
+    # The control: DEEP's two div types compete for one position.
+    handle = compile_schema(DEEP)
+    assert handle.validate(DEEP_VALID).valid
+    configurations = _remembered_configurations(kernels._tables_of(handle._reduced))
+    assert max(map(_candidates, configurations)) == 2

@@ -97,3 +97,58 @@ class TestBadInputExitCode:
         err = capsys.readouterr().err
         assert "DTD and entity declarations are rejected" in err
         assert "line 1" in err
+
+
+class TestValidateIsGoverned:
+    """``validate`` reads the document in one governed pass, so the
+    budget flags cover the document as well as the schema."""
+
+    @pytest.fixture
+    def purchase_order(self, tmp_path):
+        import random
+
+        from repro.families.real_world import purchase_orders_v1
+        from repro.trees.generate import sample_tree
+        from repro.trees.xml_io import to_xml
+
+        schema = purchase_orders_v1()
+        tree = sample_tree(schema, random.Random(1), target_size=200)
+        assert tree.size() == 144
+        schema_path = tmp_path / "po.schema"
+        document_path = tmp_path / "po.xml"
+        schema_path.write_text(dumps(schema))
+        document_path.write_text(to_xml(tree))
+        return str(schema_path), str(document_path)
+
+    def test_unlimited_is_valid(self, purchase_order, capsys):
+        assert main(["validate", *purchase_order]) == 0
+        assert capsys.readouterr().out == "valid\n"
+
+    def test_max_steps_covers_the_document(self, purchase_order, capsys):
+        assert main(["--max-steps", "400", "validate", *purchase_order]) == EXIT_BUDGET_EXCEEDED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: budget exceeded (max-steps)")
+
+    def test_the_last_element_trips(self, purchase_order, capsys):
+        from repro.api import validate
+        from repro.runtime import Budget
+        from repro.schemas.text_format import load_file
+
+        schema_path, document_path = purchase_order
+        budget = Budget()
+        with budget, open(document_path, encoding="utf-8") as document:
+            validate(load_file(schema_path), document.read())
+        # Loading and compiling the schema, then one step per element.
+        total = budget.steps
+        assert main(["--max-steps", str(total), "validate", *purchase_order]) == 0
+        assert capsys.readouterr().out == "valid\n"
+        limit = str(total - 1)
+        assert main(["--max-steps", limit, "validate", *purchase_order]) == EXIT_BUDGET_EXCEEDED
+        assert f"{total} steps" in capsys.readouterr().err
+
+    def test_timeout_covers_the_document(self, purchase_order, capsys):
+        assert main(["--timeout", "0", "validate", *purchase_order]) == EXIT_BUDGET_EXCEEDED
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: budget exceeded (deadline)")

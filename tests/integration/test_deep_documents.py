@@ -66,7 +66,7 @@ class TestDeepTrees:
 
 class TestDeepValidation:
     def test_top_down_validation(self, chain_schema, deep_chain):
-        assert chain_schema.validate_top_down(deep_chain)
+        assert chain_schema.accepts(deep_chain)
 
     def test_bottom_up_validation(self, chain_schema, deep_chain):
         bottom_up = EDTD(
@@ -82,8 +82,9 @@ class TestDeepValidation:
 
     def test_streaming_validation(self, chain_schema, deep_chain):
         from repro.schemas.streaming import validate_events
+        from repro.trees.xml_io import CLOSE, LEAF, OPEN
 
-        events = [("start", "a")] * DEPTH + [("end",)] * DEPTH
+        events = [(OPEN, "a")] * (DEPTH - 1) + [(LEAF, "a")] + [(CLOSE, "a")] * (DEPTH - 1)
         assert validate_events(chain_schema, events)
 
     def test_typed_witness(self, chain_schema, deep_chain):

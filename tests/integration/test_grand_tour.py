@@ -26,10 +26,10 @@ from repro import (
     single_type_equivalent,
     upper_quality,
     upper_union,
+    validate,
 )
 from repro.core import check_compatibility, merge_all, merge_report
-from repro.schemas import export_xsd, import_xsd, validate_events
-from repro.schemas.streaming import events_of_tree
+from repro.schemas import events_of_tree, export_xsd, import_xsd, validate_events
 from repro.schemas.text_format import dumps, loads
 from repro.trees.generate import sample_tree
 from repro.trees.xml_io import from_xml, to_xml
@@ -93,7 +93,7 @@ def test_grand_tour(tmp_path):
     # --- 4. Validate documents three ways. --------------------------------
     doc = from_xml("<feed><entry><title/><link/></entry></feed>")
     assert portal.accepts(doc)
-    assert portal.validate_top_down(doc)
+    assert validate(portal, to_xml(doc)).valid
     assert validate_events(portal, events_of_tree(doc))
     assert from_xml(to_xml(doc)) == doc
 

@@ -1,4 +1,5 @@
-"""Tests for single-type EDTDs and one-pass top-down validation."""
+"""Tests for single-type EDTDs and one-pass top-down validation (``accepts``,
+which runs the stepwise evaluator)."""
 
 from __future__ import annotations
 
@@ -14,6 +15,11 @@ from repro.schemas.st_edtd import SingleTypeEDTD
 from repro.trees.generate import enumerate_all_trees, sample_tree
 from repro.trees.tree import parse_tree
 from tests.strategies import mutate_tree
+
+
+def _bottom_up_accepts(schema: EDTD, tree) -> bool:
+    """Membership by bottom-up type inference on the arena kernel."""
+    return bool(schema.possible_types(tree) & schema.starts)
 
 
 class TestConstruction:
@@ -48,18 +54,18 @@ class TestConstruction:
 
 class TestTopDownValidation:
     def test_accepts(self, store_schema):
-        assert store_schema.validate_top_down(
+        assert store_schema.accepts(
             parse_tree("store(item(price), item(price))")
         )
 
     def test_rejects_wrong_root(self, store_schema):
-        assert not store_schema.validate_top_down(parse_tree("item(price)"))
+        assert not store_schema.accepts(parse_tree("item(price)"))
 
     def test_rejects_unknown_child_label(self, store_schema):
-        assert not store_schema.validate_top_down(parse_tree("store(price)"))
+        assert not store_schema.accepts(parse_tree("store(price)"))
 
     def test_rejects_content_violation(self, store_schema):
-        assert not store_schema.validate_top_down(parse_tree("store(item)"))
+        assert not store_schema.accepts(parse_tree("store(item)"))
 
     def test_rejects_final_state_violation(self):
         schema = SingleTypeEDTD(
@@ -69,7 +75,7 @@ class TestTopDownValidation:
             starts={"r"},
             mu={"r": "a", "x": "b"},
         )
-        assert not schema.validate_top_down(parse_tree("a(b)"))
+        assert not schema.accepts(parse_tree("a(b)"))
 
     def test_agrees_with_bottom_up(self, ab_universe_4):
         schema = SingleTypeEDTD(
@@ -87,7 +93,7 @@ class TestTopDownValidation:
             mu=schema.mu,
         )
         for tree in ab_universe_4:
-            assert schema.validate_top_down(tree) == bottom_up.accepts(tree), tree
+            assert schema.accepts(tree) == _bottom_up_accepts(bottom_up, tree), tree
 
     def test_agrees_with_bottom_up_random(self, rng):
         for seed in range(8):
@@ -101,12 +107,12 @@ class TestTopDownValidation:
             )
             for _ in range(10):
                 tree = sample_tree(schema, rng, target_size=12)
-                assert schema.validate_top_down(tree)
-                assert bottom_up.accepts(tree)
+                assert schema.accepts(tree)
+                assert _bottom_up_accepts(bottom_up, tree)
                 # Mutate a node and cross-check both algorithms agree.
                 mutated = mutate_tree(tree, rng, sorted(schema.alphabet))
-                assert schema.validate_top_down(mutated) == bottom_up.accepts(
-                    mutated
+                assert schema.accepts(mutated) == _bottom_up_accepts(
+                    bottom_up, mutated
                 ), mutated
 
 

@@ -4,52 +4,95 @@ from __future__ import annotations
 
 import random
 
-import pytest
+from hypothesis import given, settings
 
-from repro.errors import ValidationError
 from repro.families.random_schemas import random_single_type_edtd
+from repro.schemas import events_of_tree
+from repro.schemas.edtd import EDTD
 from repro.schemas.st_edtd import SingleTypeEDTD
-from repro.schemas.streaming import (
-    END,
-    START,
-    StreamingValidator,
-    events_of_tree,
-    validate_events,
-    validate_xml_stream,
-)
+from repro.schemas.streaming import validate_events, validate_xml_stream
+from repro.tree_automata.kernels import _tables_of
 from repro.trees.generate import sample_tree
-from repro.trees.tree import parse_tree, unary_tree
-from repro.trees.xml_io import to_xml
-from tests.strategies import mutate_tree
+from repro.trees.tree import Tree, parse_tree, unary_tree
+from repro.trees.xml_io import CLOSE, LEAF, OPEN, to_xml, xml_events
+from tests.strategies import examples, mutate_tree, trees
+
+
+def _reference(schema: EDTD, tree: Tree) -> bool:
+    return bool(schema.possible_types_reference(tree) & schema.starts)
 
 
 class TestEventsOfTree:
     def test_leaf(self):
-        assert list(events_of_tree(parse_tree("a"))) == [(START, "a"), (END,)]
+        assert list(events_of_tree(parse_tree("a"))) == [(LEAF, "a")]
 
     def test_nested(self):
-        events = list(events_of_tree(parse_tree("a(b, c)")))
+        events = list(events_of_tree(parse_tree("a(b, c(d))")))
         assert events == [
-            (START, "a"),
-            (START, "b"),
-            (END,),
-            (START, "c"),
-            (END,),
-            (END,),
+            (OPEN, "a"),
+            (LEAF, "b"),
+            (OPEN, "c"),
+            (LEAF, "d"),
+            (CLOSE, "c"),
+            (CLOSE, "a"),
         ]
 
     def test_balanced(self):
         events = list(events_of_tree(parse_tree("a(b(c), d(e(f)))")))
-        assert sum(1 for e in events if e[0] == START) == sum(
-            1 for e in events if e[0] == END
+        assert sum(1 for e in events if e[0] == OPEN) == sum(
+            1 for e in events if e[0] == CLOSE
         )
 
     def test_deep_tree_does_not_recurse(self):
         events = list(events_of_tree(unary_tree(["a"] * 5000)))
-        assert events == [(START, "a")] * 5000 + [(END,)] * 5000
+        assert events == [(OPEN, "a")] * 4999 + [(LEAF, "a")] + [(CLOSE, "a")] * 4999
+
+    @given(trees)
+    @settings(max_examples=examples(200), deadline=None)
+    def test_same_events_as_the_tokenizer(self, tree):
+        assert list(events_of_tree(tree)) == list(xml_events(to_xml(tree)))
+
+    def test_labels_of_any_hashable_type(self):
+        # Tuples and ints are labels too; an end tag is never mistaken
+        # for a node, whatever the label's type.
+        tree = Tree(1, [Tree((2, "x")), Tree(1, [Tree(3)])])
+        assert list(events_of_tree(tree)) == [
+            (OPEN, 1),
+            (LEAF, (2, "x")),
+            (OPEN, 1),
+            (LEAF, 3),
+            (CLOSE, 1),
+            (CLOSE, 1),
+        ]
+
+    def test_int_labels_validate(self):
+        schema = EDTD(
+            alphabet={1, 2},
+            types={"r", "c"},
+            rules={"r": "c*", "c": "~"},
+            starts={"r"},
+            mu={"r": 1, "c": 2},
+        )
+        cases = {
+            Tree(1, [Tree(2)]): True,
+            Tree(1, [Tree(2), Tree(2)]): True,
+            Tree(1): True,
+            Tree(2): False,
+            Tree(1, [Tree(1)]): False,
+            Tree(1, [Tree(2, [Tree(2)])]): False,
+            Tree(1, [Tree(3)]): False,
+            Tree("1", [Tree(2)]): False,
+        }
+        for tree, expected in cases.items():
+            assert schema.accepts(tree) is expected, tree
+            assert _reference(schema, tree) is expected, tree
+            assert validate_events(schema, events_of_tree(tree)) is expected, tree
 
 
 class TestStreamingValidator:
+    """``validate_events``: tag events through the one evaluator, and
+    ``False`` for any stream that is not one well-formed document."""
+
     def test_valid_document(self, store_schema):
         tree = parse_tree("store(item(price), item(price))")
         assert validate_events(store_schema, events_of_tree(tree))
@@ -82,59 +125,43 @@ class TestStreamingValidator:
                 ) == schema.accepts(mutated), (seed, mutated)
                 for document in (tree, mutated):
                     assert validate_xml_stream(schema, to_xml(document)) == (
-                        schema.validate_top_down(document)
+                        _reference(schema, document)
                     ), (seed, document)
 
     def test_fails_eagerly_on_bad_root(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        with pytest.raises(ValidationError):
-            validator.feed((START, "price"))
+        assert not validate_events(store_schema, [(LEAF, "price")])
 
     def test_fails_eagerly_on_bad_child(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        validator.feed((START, "store"))
-        with pytest.raises(ValidationError):
-            validator.feed((START, "price"))
+        events = [(OPEN, "store"), (LEAF, "price"), (CLOSE, "store")]
+        assert not validate_events(store_schema, events)
 
     def test_fails_on_incomplete_content(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        validator.feed((START, "store"))
-        validator.feed((START, "item"))
-        with pytest.raises(ValidationError):
-            validator.feed((END,))  # item needs a price
+        # item needs a price
+        events = [(OPEN, "store"), (LEAF, "item"), (CLOSE, "store")]
+        assert not validate_events(store_schema, events)
 
     def test_fails_on_unclosed_elements(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        validator.feed((START, "store"))
-        with pytest.raises(ValidationError):
-            validator.finish()
+        complete = [(OPEN, "store"), (OPEN, "item"), (LEAF, "price"), (CLOSE, "item")]
+        assert validate_events(store_schema, complete + [(CLOSE, "store")])
+        assert not validate_events(store_schema, complete)
 
     def test_fails_on_second_root(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        validator.feed((START, "store"))
-        validator.feed((END,))
-        with pytest.raises(ValidationError):
-            validator.feed((START, "store"))
+        events = [(OPEN, "store"), (CLOSE, "store")] * 2
+        assert validate_events(store_schema, events[:2])
+        assert not validate_events(store_schema, events)
 
     def test_fails_on_stray_end(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        with pytest.raises(ValidationError):
-            validator.feed((END,))
+        assert not validate_events(store_schema, [(CLOSE, "store")])
+        mismatched = [(OPEN, "store"), (OPEN, "item"), (LEAF, "price"), (CLOSE, "store")]
+        assert not validate_events(store_schema, mismatched + [(CLOSE, "store")])
+
+    def test_fails_on_unknown_event_kind(self, store_schema):
+        for event in (("start", "store"), ("end",), (OPEN,), "store", (OPEN, "store", 1)):
+            assert not validate_events(store_schema, [event, (CLOSE, "store")]), event
+            assert not validate_events(store_schema, [(OPEN, "store"), event]), event
 
     def test_empty_stream_rejected(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        with pytest.raises(ValidationError):
-            validator.finish()
-
-    def test_depth_tracks_open_elements(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        assert validator.depth == 0
-        validator.feed((START, "store"))
-        validator.feed((START, "item"))
-        assert validator.depth == 2
-        validator.feed((START, "price"))
-        validator.feed((END,))
-        assert validator.depth == 2
+        assert not validate_events(store_schema, [])
 
 
 class TestXmlStream:
@@ -171,6 +198,16 @@ class TestXmlStream:
         assert validate_xml_stream(chain, "<a>" * 500 + "</a>" * 500)
 
     def test_validator_shares_the_schema_tables(self, store_schema):
-        validator = StreamingValidator(store_schema)
-        assert validator._start_by_label is store_schema._start_by_label
-        assert validator._child_type is store_schema._child_type
+        # Every route fills the one set of evaluator tables per schema.
+        tables = _tables_of(store_schema)
+        assert validate_events(
+            store_schema, events_of_tree(parse_tree("store(item(price))"))
+        )
+        remembered = {parent: dict(row) for parent, row in tables.opens.items()}
+        assert remembered
+        # The same document by the other routes: every transition is
+        # already remembered.
+        assert validate_xml_stream(store_schema, "<store><item><price/></item></store>")
+        assert store_schema.accepts(parse_tree("store(item(price))"))
+        assert _tables_of(store_schema) is tables
+        assert tables.opens == remembered

@@ -12,6 +12,7 @@ import repro.service.registry as registry_mod
 from repro.errors import ServiceError
 from repro.families.hard import example_2_6
 from repro.schemas.st_edtd import SingleTypeEDTD
+from repro.schemas import text_format
 from repro.schemas.text_format import dumps
 from repro.service import SchemaRegistry
 
@@ -52,6 +53,23 @@ class TestContentAddressing:
         assert first is second
         assert registry.stats()["compiles"] == 1
         assert registry.stats()["hits"] == 1
+
+    def test_cold_source_text_is_parsed_once(self, monkeypatch):
+        calls = []
+        real_loads = text_format.loads
+
+        def counting_loads(text, **kwargs):
+            calls.append(text)
+            return real_loads(text, **kwargs)
+
+        monkeypatch.setattr("repro.schemas.text_format.loads", counting_loads)
+        monkeypatch.setattr("repro.api._loads_schema", counting_loads)
+        registry = SchemaRegistry(capacity=4)
+        text = dumps(_schema(4))
+        registry.register(text)
+        assert len(calls) == 1
+        registry.register(text)
+        assert len(calls) == 1
 
     def test_text_and_object_converge(self):
         registry = SchemaRegistry(capacity=4)

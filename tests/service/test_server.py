@@ -23,6 +23,11 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def _refuse(literal):
+    """A ``parse_constant`` that makes ``json.loads`` strict."""
+    raise ValueError(f"not JSON: {literal}")
+
+
 class TestOperations:
     def test_register_then_validate(self):
         async def scenario():
@@ -176,6 +181,7 @@ class TestWireBoundary:
         assert response["error"]["type"] == "AutomatonError"
         assert "'bogus'" in response["error"]["message"]
         assert stats["compiles"] == 0 and stats["size"] == 0
+        assert stats["misses"] == 0 and stats["hits"] == 0
 
     def test_inline_schema_and_reuse_false(self):
         async def scenario():
@@ -319,6 +325,39 @@ class TestTcpRoundTrip:
             assert answer["error"]["type"] == "ProtocolError"
             assert "finite" in answer["error"]["message"]
         assert valid["ok"] and valid["result"]["verdict"] == "valid"
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1" * 5000],
+        ids=["nan", "infinity", "-infinity", "1e400", "-1e400", "5000-digit-int"],
+    )
+    def test_non_finite_request_id_is_refused(self, literal):
+        # The id is echoed back; a non-finite one used to come back as
+        # text that is not JSON, and an integer too long to convert
+        # used to drop the connection without an answer.
+        async def scenario():
+            service = ValidationService(capacity=4)
+            server = await service.start(port=0)
+            port = server.sockets[0].getsockname()[1]
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            try:
+                writer.write(('{"id": %s, "op": "ping"}\n' % literal).encode())
+                await writer.drain()
+                answer = (await reader.readline()).decode()
+                pong = await self._send(reader, writer, {"id": 2, "op": "ping"})
+                return answer, pong
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                server.close()
+                await server.wait_closed()
+
+        answer, pong = run(scenario())
+        parsed = json.loads(answer, parse_constant=_refuse)
+        assert parsed["ok"] is False
+        assert parsed["error"]["type"] == "ProtocolError"
+        assert parsed["id"] is None
+        assert pong["ok"] is True and pong["result"]["pong"] is True
 
     def test_connection_survives_errors(self):
         async def scenario():
