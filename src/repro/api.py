@@ -70,7 +70,7 @@ from repro.core.decision import (
 )
 from repro.core.greedy import greedy_maximal_lower
 from repro.core.upper import minimal_upper_approximation
-from repro.errors import AutomatonError, BudgetExceededError
+from repro.errors import BudgetExceededError
 from repro.observability import Trace
 from repro.runtime.budget import Budget, resolve_budget
 from repro.schemas.dtd import DTD
@@ -79,6 +79,7 @@ from repro.schemas.inclusion import included_in_single_type
 from repro.schemas.st_edtd import SingleTypeEDTD
 from repro.schemas.text_format import loads as _loads_schema
 from repro.schemas.type_automaton import is_single_type
+from repro.strings.determinize import STRATEGIES, check_strategy
 from repro.strings.kernels import _recharge
 from repro.tree_automata.inclusion import edtd_includes
 from repro.tree_automata.kernels import _tables_of, edtd_accept_steps, run_steps
@@ -107,9 +108,6 @@ __all__ = [
     "schema_includes",
     "validate",
 ]
-
-#: Determinization strategies the facade accepts.
-STRATEGIES = ("blind", "schema-guided")
 
 
 # ----------------------------------------------------------------------
@@ -782,15 +780,12 @@ def _compile(
 
 def resolve_strategy(strategy: str | None) -> str:
     """*strategy*, or the active :class:`Settings` default when it is
-    ``None``; an unknown strategy raises :class:`AutomatonError`."""
+    ``None``; an unknown strategy raises
+    :class:`~repro.errors.AutomatonError`
+    (:func:`repro.strings.determinize.check_strategy`)."""
     if strategy is None:
         return current_settings().strategy
-    if strategy not in STRATEGIES:
-        raise AutomatonError(
-            f"unknown determinization strategy {strategy!r} "
-            "(expected 'blind' or 'schema-guided')"
-        )
-    return strategy
+    return check_strategy(strategy)
 
 
 def compile_schema(

@@ -38,7 +38,7 @@ __all__ = ["FORMAT_EPOCH", "artifact_digest", "schema_structural_key", "text_dig
 
 #: Serialization-format epoch baked into every key.  Bump on any change
 #: to the pickled object layout; see ``docs/CACHING.md`` for the ledger.
-FORMAT_EPOCH = 2
+FORMAT_EPOCH = 3
 
 
 def artifact_digest(kind: str, key: Any) -> str | None:

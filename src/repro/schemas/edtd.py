@@ -385,17 +385,21 @@ class EDTD:
     def reduced(self) -> "EDTD":
         """Return an equivalent reduced EDTD (Proviso 2.3).
 
-        Unproductive types and types unreachable from the start set are
-        removed; content models are restricted to the surviving types.  If
+        A schema that is already reduced is returned itself.  Otherwise
+        unproductive types and types unreachable from the start set are
+        removed, content models are restricted to the surviving types, and
+        the result is built once, as the same class as this schema.  If
         the language is empty the result has no types.
         """
         productive = self.productive_types()
         useful = self.reachable_types(within=productive)
+        if useful == self.types:
+            return self
         rules = {
             type_: self._restrict_content(self.rules[type_], useful)
             for type_ in useful
         }
-        return EDTD(
+        return type(self)(
             alphabet=self.alphabet,
             types=useful,
             rules=rules,
@@ -430,26 +434,39 @@ class EDTD:
         type names (see :func:`_canonical_type_key`).
         """
         ordered = sorted(self.types, key=_canonical_type_key)
-        mapping = {type_: f"{prefix}{i}" for i, type_ in enumerate(ordered)}
-        rules = {}
+        return self.renamed({type_: f"{prefix}{i}" for i, type_ in enumerate(ordered)})
+
+    def renamed(self, name: Mapping[Type, Type]) -> "EDTD":
+        """This schema with every type ``tau`` renamed ``name[tau]``, built
+        once, as the same class as this schema.
+
+        *name* may merge types.  Merged types must share their label and,
+        once renamed, their content language, and no two types of one
+        content model may merge: then a merged type's content model is any
+        member's, renamed.  Moore-equivalent types of a single-type EDTD
+        meet all three (:func:`repro.schemas.minimize.minimize_single_type`).
+        """
+        rules: dict[Type, DFA] = {}
         for type_ in self.types:
+            if name[type_] in rules:
+                continue
             dfa = self.rules[type_]
             transitions = {
-                (src, mapping[sym]): dst for (src, sym), dst in dfa.transitions.items()
+                (src, name[sym]): dst for (src, sym), dst in dfa.transitions.items()
             }
-            rules[mapping[type_]] = DFA(
+            rules[name[type_]] = DFA(
                 dfa.states,
-                {mapping[t] for t in dfa.alphabet},
+                {name[t] for t in dfa.alphabet},
                 transitions,
                 dfa.initial,
                 dfa.finals,
             )
-        return EDTD(
+        return type(self)(
             alphabet=self.alphabet,
-            types=mapping.values(),
+            types=rules.keys(),
             rules=rules,
-            starts={mapping[t] for t in self.starts},
-            mu={mapping[t]: self.mu[t] for t in self.types},
+            starts={name[t] for t in self.starts},
+            mu={name[t]: self.mu[t] for t in self.types},
         )
 
     def __repr__(self) -> str:

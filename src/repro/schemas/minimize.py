@@ -4,14 +4,15 @@ The paper notes ("Contributions") that the outputs of the approximation
 algorithms can be minimized in polynomial time, yielding *optimal
 representations of optimal approximations*.  We implement the Martens/
 Niehren-style PTIME minimization as Moore-machine minimization of the
-DFA-based-XSD view:
+schema's own type automaton:
 
 * a reduced single-type EDTD is a Moore machine whose states are types,
-  whose transition function is the (deterministic) type automaton, and whose
-  output at a type ``tau`` is the pair ``(mu(tau), L(mu(d(tau))))``;
+  whose transition function is the type automaton (deterministic by
+  Observation 2.7(3)), and whose output at a type ``tau`` is the pair
+  ``(mu(tau), L(mu(d(tau))))``;
 * two types are mergeable iff they are Moore-equivalent;
 * merging Moore-equivalent types yields the (unique) type-minimal
-  single-type EDTD for the language.
+  single-type EDTD for the language, built once with types ``t0..tN``.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ from __future__ import annotations
 from collections.abc import Hashable, Iterable
 
 from repro.runtime.budget import budget_phase, resolve_budget
-from repro.schemas.dfa_xsd import DFAXSD, from_single_type
 from repro.schemas.st_edtd import SingleTypeEDTD
-from repro.schemas.type_automaton import Q_INIT
+from repro.schemas.type_automaton import Q_INIT, type_automaton
 from repro.strings.dfa import DFA
 from repro.strings.kernels import canonical_repr
 from repro.strings.minimize import minimize_dfa, moore_partition
@@ -55,45 +55,44 @@ def canonical_dfa_key(dfa: DFA, alphabet: Iterable[Symbol]) -> tuple:
 def minimize_single_type(st_edtd: SingleTypeEDTD, *, budget=None) -> SingleTypeEDTD:
     """Return the type-minimal single-type EDTD for ``L(st_edtd)``.
 
-    Polynomial time — but the *input* here is routinely the exponentially
-    large output of Construction 3.1, so the Moore refinement and the
-    per-type canonicalization are governed (one step per type
-    canonicalized; refinement rounds charge through
+    The Moore machine refined here is the reduced schema's own type
+    automaton, deterministic by Observation 2.7(3): its states are the
+    types plus ``q_init``, and a dead state when some transition is
+    missing.  Polynomial time — but the *input* here is routinely the
+    exponentially large output of Construction 3.1, so the work is
+    governed (one step per type; refinement rounds charge through
     :func:`repro.strings.minimize.moore_partition`).
 
-    The result is reduced and its types are canonical integers; two
-    language-equal inputs yield isomorphic outputs.
+    The result is reduced, built once, and its types are named
+    ``t0..tN``; two language-equal inputs yield isomorphic outputs, and
+    the names do not depend on hash randomization.
     """
     budget = resolve_budget(budget)
+    if not isinstance(st_edtd, SingleTypeEDTD):
+        # A plain EDTD is checked (NotSingleTypeError) and upgraded, so
+        # the result is a SingleTypeEDTD whatever the input's class.
+        st_edtd = SingleTypeEDTD.from_edtd(st_edtd)
     reduced = st_edtd.reduced()
     if not reduced.types:
         return reduced
-    xsd = from_single_type(reduced)
-    automaton = xsd.automaton
+    # One successor per transition: the type automaton is deterministic.
+    # Completion adds a dead state only when a transition is missing.  The
+    # dead state takes part in the block numbering below, so adding it
+    # always would rename the types of complete schemas.
+    automaton = type_automaton(reduced)
+    delta = {key: dst for key, (dst,) in automaton.transitions.items()}
+    complete = DFA(automaton.states, reduced.alphabet, delta, Q_INIT, ()).completed()
 
-    # Complete the ancestor automaton with an explicit dead state so Moore
-    # refinement has a total transition function.
-    complete = automaton.completed()
-    sink_states = complete.states - automaton.states
-
-    outputs: dict[object, object] = {}
-    label_of: dict[object, Symbol] = {}
-    for (_, symbol), dst in automaton.transitions.items():
-        label_of[dst] = symbol
+    outputs: dict[object, object] = dict.fromkeys(complete.states, _SINK_CLASS)
+    outputs[Q_INIT] = _INIT_CLASS
     with budget_phase(budget, "st-minimize"):
-        for state in complete.states:
+        for type_ in reduced.types:
             if budget is not None:
                 budget.tick(1)
-            if state in sink_states:
-                outputs[state] = _SINK_CLASS
-            elif state == automaton.initial:
-                outputs[state] = _INIT_CLASS
-            else:
-                outputs[state] = (
-                    label_of[state],
-                    canonical_dfa_key(xsd.rules[state], xsd.alphabet),
-                )
-
+            outputs[type_] = (
+                reduced.mu[type_],
+                canonical_dfa_key(reduced.content_over_sigma(type_), reduced.alphabet),
+            )
         partition = moore_partition(
             complete.states,
             complete.alphabet,
@@ -103,49 +102,21 @@ def minimize_single_type(st_edtd: SingleTypeEDTD, *, budget=None) -> SingleTypeE
         )
 
     # moore_partition numbers blocks in first-occurrence order over an
-    # unordered state set, which varies with hash randomization.  The block
-    # ids become the minimal schema's type identities, so renumber each
-    # block by its canonically smallest member: two processes (and a cached
-    # artifact round-trip) then print byte-identical schemas.
+    # unordered state set, which varies with hash randomization.  Number
+    # each block by its canonically smallest member instead, and name the
+    # blocks of types ``t0..tN`` in the order of (label, number): two
+    # processes (and a cached artifact round-trip) then print
+    # byte-identical schemas.
     smallest: dict[int, str] = {}
     for state, block in partition.items():
         key = canonical_repr(state)
         if block not in smallest or key < smallest[block]:
             smallest[block] = key
-    rename = {
-        block: index
-        for index, block in enumerate(sorted(smallest, key=smallest.__getitem__))
-    }
-    partition = {state: rename[block] for state, block in partition.items()}
-
-    # Rebuild the ancestor automaton on blocks, dropping the dead block.
-    dead_blocks = {partition[state] for state in sink_states}
-    block_transitions: dict[tuple[object, object], object] = {}
-    for (src, symbol), dst in automaton.transitions.items():
-        src_block, dst_block = partition[src], partition[dst]
-        if dst_block in dead_blocks:
-            continue
-        block_transitions[(src_block, symbol)] = dst_block
-    blocks = {partition[state] for state in automaton.states} - dead_blocks
-    block_automaton = DFA(
-        blocks,
-        automaton.alphabet,
-        block_transitions,
-        partition[automaton.initial],
-        frozenset(),
-    )
-    block_rules = {
-        partition[state]: xsd.rules[state]
-        for state in automaton.states
-        if state != automaton.initial and partition[state] not in dead_blocks
-    }
-    minimal_xsd = DFAXSD(
-        alphabet=xsd.alphabet,
-        automaton=block_automaton,
-        rules=block_rules,
-        starts=xsd.starts,
-    )
-    return minimal_xsd.to_single_type().relabel_types()
+    number = {block: i for i, block in enumerate(sorted(smallest, key=smallest.__getitem__))}
+    label = {partition[type_]: reduced.mu[type_] for type_ in reduced.types}
+    order = sorted(label, key=lambda block: canonical_repr((label[block], number[block])))
+    name = {block: f"t{i}" for i, block in enumerate(order)}
+    return reduced.renamed({type_: name[partition[type_]] for type_ in reduced.types})
 
 
 def type_minimal_size(st_edtd: SingleTypeEDTD) -> int:

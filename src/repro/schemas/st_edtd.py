@@ -55,10 +55,12 @@ class SingleTypeEDTD(EDTD):
         """Upgrade an :class:`EDTD` after checking the single-type property."""
         return cls(edtd.alphabet, edtd.types, edtd.rules, edtd.starts, edtd.mu)
 
-    # The inherited evaluator, bound in this class's own namespace:
-    # wirebench/traced_server.py wraps ``SingleTypeEDTD.accepts`` there
-    # by name to time it as a layer.
+    # The inherited evaluator and reduction, bound in this class's own
+    # namespace: wirebench/traced_server.py wraps ``SingleTypeEDTD.accepts``
+    # and ``SingleTypeEDTD.reduced`` there by name to time them as layers.
+    # Reduction and renaming build ``type(self)``, so they keep the class.
     accepts = EDTD.accepts
+    reduced = EDTD.reduced
 
     def type_of(self, ancestor_string: tuple) -> Type | None:
         """The unique type of a node with the given ancestor string, or
@@ -67,13 +69,6 @@ class SingleTypeEDTD(EDTD):
         if not ancestor_string:
             return None
         return next(iter(assignable_types(self, ancestor_string)), None)
-
-    def reduced(self) -> "SingleTypeEDTD":
-        """Reduction preserves the single-type property."""
-        return SingleTypeEDTD.from_edtd(super().reduced())
-
-    def relabel_types(self, prefix: str = "t") -> "SingleTypeEDTD":
-        return SingleTypeEDTD.from_edtd(super().relabel_types(prefix))
 
     def __repr__(self) -> str:
         return (

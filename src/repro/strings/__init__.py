@@ -54,7 +54,6 @@ from repro.strings.regex import (
 )
 from repro.strings.schema_guided import (
     SchemaGuidedCheckpoint,
-    cached_guided_subset_construction,
     depth_guide,
     guided_subset_construction,
     universal_guide,
@@ -71,7 +70,6 @@ __all__ = [
     "as_min_dfa",
     "as_nfa",
     "cache_stats",
-    "cached_guided_subset_construction",
     "cached_min_dfa",
     "clear_caches",
     "concat",

@@ -34,6 +34,21 @@ if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy
 #: bounds how stale the step counter may run during the hot loop.
 _FLUSH = 256
 
+#: The determinization strategies: explore every reachable subset, or
+#: prune the exploration with a guide (string and tree kernels alike).
+STRATEGIES = ("blind", "schema-guided")
+
+
+def check_strategy(strategy: str) -> str:
+    """Return *strategy* when it is one of :data:`STRATEGIES`; otherwise
+    raise :class:`~repro.errors.AutomatonError`."""
+    if strategy not in STRATEGIES:
+        raise AutomatonError(
+            f"unknown determinization strategy {strategy!r} "
+            f"(expected {' or '.join(map(repr, STRATEGIES))})"
+        )
+    return strategy
+
 
 @dataclass(frozen=True)
 class SubsetCheckpoint:
@@ -95,12 +110,7 @@ def determinize(
     may take the numpy fast path of
     :func:`repro.strings.kernels.subset_construction`.
     """
-    if strategy not in ("blind", "schema-guided"):
-        raise AutomatonError(
-            f"unknown determinization strategy {strategy!r} "
-            "(expected 'blind' or 'schema-guided')"
-        )
-    if strategy == "schema-guided":
+    if check_strategy(strategy) == "schema-guided":
         from repro.strings.schema_guided import guided_subset_construction
 
         return guided_subset_construction(

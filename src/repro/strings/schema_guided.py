@@ -431,65 +431,24 @@ def _guided_scalar(
 # Memo cache (strategy folded into the key via the cache name)
 # ----------------------------------------------------------------------
 
-_SG_DET_CACHE = _KernelCache("schema_guided_det")
 _SG_MIN_CACHE = _KernelCache("schema_guided_min_dfa")
 
 
 def _sg_cache_totals() -> tuple[int, int]:
-    return (
-        _SG_DET_CACHE.hits + _SG_MIN_CACHE.hits,
-        _SG_DET_CACHE.misses + _SG_MIN_CACHE.misses,
-    )
+    return _SG_MIN_CACHE.hits, _SG_MIN_CACHE.misses
 
 
 _obs.register_cache_provider(_sg_cache_totals)
 
 
 def cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/entry counters of the schema-guided kernel caches."""
-    return {
-        _SG_DET_CACHE.name: _SG_DET_CACHE.stats(),
-        _SG_MIN_CACHE.name: _SG_MIN_CACHE.stats(),
-    }
+    """Hit/miss/entry counters of the schema-guided kernel cache."""
+    return {_SG_MIN_CACHE.name: _SG_MIN_CACHE.stats()}
 
 
 def clear_caches() -> None:
     """Drop the schema-guided memo entries and reset the counters."""
-    _SG_DET_CACHE.clear()
     _SG_MIN_CACHE.clear()
-
-
-def cached_guided_subset_construction(
-    nfa: "_NFA",
-    guide: "_DFA",
-    *,
-    keep_empty: bool = False,
-    budget: Budget | None = None,
-) -> "_DFA":
-    """Memoized :func:`guided_subset_construction`.
-
-    Keyed by ``(state reprs, NFA fingerprint, guide fingerprint,
-    keep_empty)`` — state reprs are included because the returned DFA's
-    states are frozensets of the *input's* state objects (two
-    isomorphic-but-differently-named NFAs must not share an entry).  The
-    cache name (``schema_guided_det``) folds the strategy into the
-    on-disk artifact digest, so blind and guided artifacts never
-    collide.  Hits replay the recorded budget cost.
-    """
-    budget = resolve_budget(budget)
-    state_key = _symbol_reprs(nfa.states)
-    nfa_key = structural_key(nfa)
-    guide_key = structural_key(guide)
-    key = None
-    if state_key is not None and nfa_key is not None and guide_key is not None:
-        key = (state_key, nfa_key, guide_key, bool(keep_empty))
-
-    def build(inner_budget: Budget | None) -> "_DFA":
-        return guided_subset_construction(
-            nfa, guide, keep_empty=keep_empty, budget=inner_budget
-        )
-
-    return _memoized(_SG_DET_CACHE, key, build, budget)
 
 
 def cached_guided_min_dfa(

@@ -24,6 +24,7 @@ from collections.abc import Hashable, Iterable, Mapping
 from repro import observability as _obs
 from repro.errors import AutomatonError
 from repro.runtime.budget import Budget, budget_phase, resolve_budget
+from repro.strings.determinize import check_strategy
 from repro.trees.tree import Tree
 
 if TYPE_CHECKING:
@@ -227,12 +228,7 @@ class BTA:
         :meth:`determinize_reference` is the original round-based loop,
         kept as the differential oracle.
         """
-        if strategy not in ("blind", "schema-guided"):
-            raise AutomatonError(
-                f"unknown determinization strategy {strategy!r} "
-                "(expected 'blind' or 'schema-guided')"
-            )
-        if strategy == "schema-guided":
+        if check_strategy(strategy) == "schema-guided":
             from repro.tree_automata.schema_guided import bta_determinize_guided
 
             return bta_determinize_guided(

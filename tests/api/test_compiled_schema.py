@@ -65,6 +65,23 @@ class TestCompileSchema:
         with pytest.raises(AutomatonError, match="unknown determinization strategy 'bogus'"):
             compile_schema(store_schema, strategy="bogus")
 
+    def test_kernels_refuse_an_unknown_strategy_with_the_same_message(self, store_schema):
+        from repro.schemas.type_automaton import type_automaton
+        from repro.strings.determinize import determinize
+        from repro.tree_automata.inclusion import bta_from_edtd
+
+        with pytest.raises(AutomatonError) as facade:
+            compile_schema(store_schema, strategy="bogus")
+        with pytest.raises(AutomatonError) as strings:
+            determinize(type_automaton(store_schema), strategy="bogus")
+        with pytest.raises(AutomatonError) as trees:
+            bta_from_edtd(store_schema).determinize(strategy="bogus")
+        assert str(strings.value) == str(trees.value) == str(facade.value)
+        assert str(facade.value) == (
+            "unknown determinization strategy 'bogus' "
+            "(expected 'blind' or 'schema-guided')"
+        )
+
     def test_single_type_classification(self, store_schema):
         assert compile_schema(store_schema).is_single_type
         assert not compile_schema(example_2_6()).is_single_type

@@ -124,13 +124,11 @@ class TestValidateIsGoverned:
         assert main(["validate", *purchase_order]) == 0
         assert capsys.readouterr().out == "valid\n"
 
-    def test_max_steps_covers_the_document(self, purchase_order, capsys):
-        assert main(["--max-steps", "400", "validate", *purchase_order]) == EXIT_BUDGET_EXCEEDED
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: budget exceeded (max-steps)")
-
-    def test_the_last_element_trips(self, purchase_order, capsys):
+    @pytest.fixture
+    def measured_steps(self, purchase_order):
+        """The steps one unlimited ``repro validate`` of the purchase order
+        charges: loading and compiling the schema, then one step per
+        element."""
         from repro.api import validate
         from repro.runtime import Budget
         from repro.schemas.text_format import load_file
@@ -139,8 +137,23 @@ class TestValidateIsGoverned:
         budget = Budget()
         with budget, open(document_path, encoding="utf-8") as document:
             validate(load_file(schema_path), document.read())
-        # Loading and compiling the schema, then one step per element.
-        total = budget.steps
+        return budget.steps
+
+    def test_max_steps_covers_the_document(self, purchase_order, measured_steps, capsys):
+        # Enough for loading and compiling the schema and half of the
+        # document's 144 elements: the trip lands on element 73.
+        schema_steps = measured_steps - 144
+        limit = schema_steps + 72
+        assert main(["--max-steps", str(limit), "validate", *purchase_order]) == (
+            EXIT_BUDGET_EXCEEDED
+        )
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: budget exceeded (max-steps)")
+        assert f"{limit + 1} steps" in captured.err
+
+    def test_the_last_element_trips(self, purchase_order, measured_steps, capsys):
+        total = measured_steps
         assert main(["--max-steps", str(total), "validate", *purchase_order]) == 0
         assert capsys.readouterr().out == "valid\n"
         limit = str(total - 1)

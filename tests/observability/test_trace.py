@@ -45,7 +45,8 @@ def _child(span, name):
 #: The phase structure of Construction 3.1 on Example 2.6: one
 #: determinization of the type automaton, one content-union pass over the
 #: three labels (each uniting NFAs then minimizing), then the per-rule
-#: minimizations of the rebuilt single-type schema.
+#: minimizations of the rebuilt single-type schema.  That schema is
+#: already reduced, so reduction returns it without minimizing again.
 UPPER_SHAPE = (
     "upper-approximation",
     [
@@ -61,9 +62,6 @@ UPPER_SHAPE = (
                 ("hopcroft-refine", []),
             ],
         ),
-        ("hopcroft-refine", []),
-        ("hopcroft-refine", []),
-        ("hopcroft-refine", []),
         ("hopcroft-refine", []),
         ("hopcroft-refine", []),
         ("hopcroft-refine", []),

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import SchemaError
+from repro.families.random_schemas import random_edtd
 from repro.schemas.edtd import EDTD
+from repro.schemas.st_edtd import SingleTypeEDTD
 from repro.trees.generate import enumerate_trees
 from repro.trees.tree import parse_tree
+from tests.strategies import examples, single_type_edtds
 
 
 def two_root_edtd() -> EDTD:
@@ -156,6 +162,33 @@ class TestReduction:
     def test_reduction_idempotent(self):
         reduced = two_root_edtd().reduced()
         assert reduced.reduced().types == reduced.types
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_reduced_schema_is_its_own_reduction(self, seed):
+        schema = random_edtd(random.Random(seed))
+        assert schema.is_reduced()
+        assert schema.reduced() is schema
+
+    @given(single_type_edtds())
+    @settings(max_examples=examples(30), deadline=None)
+    def test_reduced_single_type_schema_is_its_own_reduction(self, schema):
+        assert schema.is_reduced()
+        assert schema.reduced() is schema
+
+    @pytest.mark.parametrize("cls", [EDTD, SingleTypeEDTD])
+    def test_useless_types_give_a_new_schema_of_the_same_class(self, cls):
+        schema = cls(
+            alphabet={"a", "b", "c"},
+            types={"r", "x", "island", "dead"},
+            rules={"r": "x* | dead", "x": "~", "island": "~", "dead": "dead"},
+            starts={"r"},
+            mu={"r": "a", "x": "b", "island": "a", "dead": "c"},
+        )
+        reduced = schema.reduced()
+        assert reduced is not schema
+        assert type(reduced) is cls
+        assert reduced.types == {"r", "x"}
+        assert reduced.reduced() is reduced
 
 
 class TestStructure:

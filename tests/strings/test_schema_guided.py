@@ -29,11 +29,7 @@ from repro.strings.ops import equivalent, is_empty
 from repro.strings.regex import parse
 from repro.strings.schema_guided import (
     SchemaGuidedCheckpoint,
-    cache_stats,
-    cached_guided_subset_construction,
-    clear_caches,
     depth_guide,
-    guided_subset_construction,
     universal_guide,
 )
 from tests.strategies import ALPHABET, examples, glushkov_nfas, nfa_guide_pairs
@@ -221,27 +217,3 @@ def test_strategy_validation():
         determinize(nfa, strategy="schema-guided", budget=Budget(max_states=1))
     with pytest.raises(AutomatonError):
         determinize(nfa, strategy="blind", checkpoint=trip.value.checkpoint)
-
-
-# ----------------------------------------------------------------------
-# Memo cache: hits return the identical artifact
-# ----------------------------------------------------------------------
-
-def test_memo_cache_hit_returns_identical_artifact():
-    clear_caches()
-    nfa = nth_from_end_is("a", "b", 4)
-    guide = depth_guide(AB, 3)
-    first = cached_guided_subset_construction(nfa, guide)
-    second = cached_guided_subset_construction(nfa, guide)
-    assert second is first
-    stats = cache_stats()["schema_guided_det"]
-    assert stats["hits"] >= 1
-
-    # A different guide must not collide with the cached entry.
-    other = cached_guided_subset_construction(nfa, depth_guide(AB, 2))
-    assert set(other.states) != set(first.states)
-
-    # And the uncached kernel agrees with the cached artifact.
-    direct = guided_subset_construction(nfa, guide)
-    assert set(direct.states) == set(first.states)
-    assert direct.transitions == first.transitions
