@@ -2,12 +2,11 @@
 
 The lint CI job runs ``python -m repro.analysis src`` on every push, so
 the analyzer's own cost is part of the development loop.  This benchmark
-pins it: one full lint pass (R001–R011, which internally builds the call
-graph and runs the effect fixpoint) plus a standalone effect-report
-build, each under a loose wall-clock bound.  The bound is deliberately
-generous — machine-noise-proof, catching only order-of-magnitude
-regressions (an accidentally quadratic fixpoint, a call-resolution
-blow-up), not percent-level drift.
+pins it: one full lint pass (R001–R008, R010, R011, which internally
+builds the call graph) under a loose wall-clock bound.  The bound is
+deliberately generous — machine-noise-proof, catching only
+order-of-magnitude regressions (an accidentally quadratic rule, a
+call-resolution blow-up), not percent-level drift.
 
 The CI lint job has no pytest installed, so this file runs standalone:
 
@@ -28,7 +27,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src"
 
-#: Loose default wall bound per pass, in seconds.  The full pass takes
+#: Loose default wall bound for the pass, in seconds.  The full pass takes
 #: ~2 s on a warm developer machine; 60 s only trips on a complexity
 #: regression, never on a slow CI runner.
 DEFAULT_BUDGET_SECONDS = 60.0
@@ -44,33 +43,18 @@ def _budget_seconds() -> float | None:
 
 
 def run_analysis_benchmark() -> dict:
-    """Time one lint pass and one effect-report build over ``src/``."""
-    from repro.analysis import (
-        Program,
-        analyze_paths,
-        effect_report,
-        load_contexts,
-    )
+    """Time one lint pass over ``src/``."""
+    from repro.analysis import analyze_contexts, default_rules, load_contexts
 
     t0 = time.perf_counter()
-    findings = analyze_paths([SRC], root=REPO_ROOT)
-    lint_seconds = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
     ctxs, parse_errors = load_contexts([SRC], root=REPO_ROOT)
-    report = effect_report(Program.from_contexts(ctxs), root="src")
-    effects_seconds = time.perf_counter() - t1
-
-    summary = report["summary"]
+    findings = analyze_contexts(ctxs, default_rules())
+    lint_seconds = time.perf_counter() - t0
     return {
         "modules": len(ctxs),
-        "functions": summary["functions"],
-        "pure": summary["pure"],
-        "certified_shardable": len(summary["certified_shardable"]),
         "findings": len(findings),
         "parse_errors": len(parse_errors),
         "lint_seconds": lint_seconds,
-        "effects_seconds": effects_seconds,
     }
 
 
@@ -79,14 +63,11 @@ def _check(metrics: dict) -> list[str]:
     if metrics["parse_errors"]:
         problems.append(f"{metrics['parse_errors']} files failed to parse")
     budget = _budget_seconds()
-    if budget is not None:
-        for phase in ("lint_seconds", "effects_seconds"):
-            if metrics[phase] > budget:
-                problems.append(
-                    f"{phase.removesuffix('_seconds')} pass took "
-                    f"{metrics[phase]:.1f}s > {budget:.0f}s budget "
-                    "(REPRO_BENCH_ANALYSIS_BUDGET overrides)"
-                )
+    if budget is not None and metrics["lint_seconds"] > budget:
+        problems.append(
+            f"lint pass took {metrics['lint_seconds']:.1f}s > {budget:.0f}s "
+            "budget (REPRO_BENCH_ANALYSIS_BUDGET overrides)"
+        )
     return problems
 
 
@@ -101,15 +82,9 @@ def main() -> int:
     metrics = run_analysis_benchmark()
     print("EXP-A  analyzer self-benchmark (whole-program pass over src/)")
     print(
-        f"  {metrics['modules']} modules, {metrics['functions']} functions "
-        f"({metrics['pure']} inferred pure, "
-        f"{metrics['certified_shardable']} certified shardable)"
+        f"  lint pass over {metrics['modules']} modules: "
+        f"{metrics['lint_seconds']:6.2f}s  [{metrics['findings']} findings]"
     )
-    print(
-        f"  lint pass (R001-R011):  {metrics['lint_seconds']:6.2f}s  "
-        f"[{metrics['findings']} findings]"
-    )
-    print(f"  effect report build:    {metrics['effects_seconds']:6.2f}s")
     problems = _check(metrics)
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)

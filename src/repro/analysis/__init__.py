@@ -7,10 +7,9 @@ with ``*_reference`` differential oracles.  This package makes those
 contracts — plus the determinism and error-taxonomy conventions the
 regression suite pins — mechanically checkable on every commit.
 
-Rules R001–R007 are per-file AST checks.  Rules R008–R011 are
+Rules R001–R007 are per-file AST checks.  Rules R008, R010 and R011 are
 *whole-program*: they run on a call graph built over every analyzed
-module (:mod:`repro.analysis.callgraph`) with a flow-insensitive effect
-lattice propagated to fixpoint (:mod:`repro.analysis.effects`).
+module (:mod:`repro.analysis.callgraph`).
 
 ========  =========================  ==========================================
 Rule      Name                       Invariant
@@ -35,9 +34,6 @@ Rule      Name                       Invariant
 ``R008``  governance-escape          no path from a public ``repro.api``/CLI
                                      entry point to an unbudgeted worklist
                                      loop, wherever the loop lives
-``R009``  parallel-safety            ``# repro-par: shardable`` functions must
-                                     *infer* pure-modulo-budget through the
-                                     whole call graph
 ``R010``  cache-key-completeness     memo-cache entry points key on every
                                      behavior-affecting parameter
 ``R011``  twin-drift                 ``*_reference`` oracles keep the same
@@ -45,16 +41,12 @@ Rule      Name                       Invariant
                                      kernel twins
 ========  =========================  ==========================================
 
-Run it as ``python -m repro.analysis [paths]`` (see ``--help``); pass
-``--effects-json FILE`` to emit the machine-readable whole-program effect
-report (the parallel-sharding allowlist, validated against
-``effects_schema.json``).  The pytest-importable API is
-:func:`analyze_paths` / :func:`analyze_source` plus
-:func:`~repro.analysis.baseline.apply_baseline`, and the program-level
-surface is :class:`~repro.analysis.callgraph.Program` /
-:func:`~repro.analysis.effects.infer_effects` /
-:func:`~repro.analysis.effects.effect_report`.  ``docs/ANALYSIS.md`` has
-the full catalog, pragma syntax, and baseline workflow.
+Run it as ``python -m repro.analysis [paths]`` (see ``--help``).  The
+pytest-importable API is :func:`analyze_paths` / :func:`analyze_source`
+plus :func:`~repro.analysis.baseline.apply_baseline`, and the
+program-level surface is :class:`~repro.analysis.callgraph.Program`.
+``docs/ANALYSIS.md`` has the full catalog, pragma syntax, and baseline
+workflow.
 """
 
 from repro.analysis.baseline import (
@@ -64,12 +56,6 @@ from repro.analysis.baseline import (
     apply_baseline,
 )
 from repro.analysis.callgraph import FunctionNode, ModuleInfo, Program
-from repro.analysis.effects import (
-    FunctionEffects,
-    effect_report,
-    infer_effects,
-    load_effects_schema,
-)
 from repro.analysis.engine import (
     ModuleContext,
     ProgramRule,
@@ -86,7 +72,6 @@ from repro.analysis.interproc import (
     PROGRAM_RULES,
     CacheKeyCompletenessRule,
     GovernanceEscapeRule,
-    ParallelSafetyRule,
     TwinDriftRule,
 )
 from repro.analysis.rules import (
@@ -112,7 +97,6 @@ __all__ = [
     "FaultSwallowRule",
     "Finding",
     "FrozenMutationRule",
-    "FunctionEffects",
     "FunctionNode",
     "GovernanceEscapeRule",
     "GovernedLoopRule",
@@ -120,7 +104,6 @@ __all__ = [
     "ModuleContext",
     "ModuleInfo",
     "PROGRAM_RULES",
-    "ParallelSafetyRule",
     "Program",
     "ProgramRule",
     "Rule",
@@ -132,8 +115,5 @@ __all__ = [
     "apply_baseline",
     "collect_files",
     "default_rules",
-    "effect_report",
-    "infer_effects",
     "load_contexts",
-    "load_effects_schema",
 ]

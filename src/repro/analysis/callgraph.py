@@ -1,9 +1,8 @@
 """Whole-program call graph over parsed module contexts.
 
 The per-file rules (R001–R007) see one module at a time.  The
-interprocedural rules (R008–R011) and the effect-inference pass
-(:mod:`repro.analysis.effects`) need to know *who calls whom* across the
-whole tree, so this module builds a :class:`Program`: one
+interprocedural rules (R008, R010, R011) need to know *who calls whom*
+across the whole tree, so this module builds a :class:`Program`: one
 :class:`FunctionNode` per module-level function and per method of a
 top-level class, with every call site resolved as far as a purely
 syntactic analysis can.
@@ -23,47 +22,30 @@ Resolution is deliberately conservative:
   analyzed as part of the parent, and calling one is a no-op edge.
 
 Anything that cannot be resolved is kept as a :class:`CallRecord` with
-``kind="dynamic"`` so downstream analyses can treat it as
-effect-unknown instead of silently dropping it.
+``kind="dynamic"`` and no targets.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.engine import ModuleContext
 
-#: Annotation marking a function as intended for process-parallel
-#: sharding (checked by R009); place it on the ``def`` line or the line
-#: directly above it.
-SHARDABLE_RE = re.compile(r"#\s*repro-par:\s*shardable\b")
-
-#: Builtins whose calls neither mutate their arguments nor touch ambient
-#: state (calling them is effect-free; what they *return* is the
-#: caller's problem).
-PURE_BUILTINS = frozenset(
+#: Builtin callables a bare-name call resolves to (``kind="builtin"``)
+#: instead of a program function: functions, types and exception classes.
+BUILTIN_NAMES = frozenset(
     {
-        "abs", "all", "any", "bin", "bool", "bytes", "callable", "chr",
-        "dict", "divmod", "enumerate", "filter", "float", "format",
-        "frozenset", "getattr", "hasattr", "hash", "hex", "id", "int",
-        "isinstance", "issubclass", "iter", "len", "list", "map", "max",
-        "min", "next", "object", "oct", "ord", "pow", "range", "repr",
-        "reversed", "round", "set", "slice", "sorted", "str", "sum",
-        "super", "tuple", "type", "vars", "zip",
-    }
-)
-
-#: Builtins that perform I/O.
-IO_BUILTINS = frozenset({"open", "print", "input", "breakpoint"})
-
-#: Builtin exception types: constructing one (usually to ``raise`` it)
-#: is effect-free.
-BUILTIN_EXCEPTIONS = frozenset(
-    {
+        "abs", "all", "any", "bin", "bool", "breakpoint", "bytes",
+        "callable", "chr", "dict", "divmod", "enumerate", "filter",
+        "float", "format", "frozenset", "getattr", "hasattr", "hash",
+        "hex", "id", "input", "int", "isinstance", "issubclass", "iter",
+        "len", "list", "map", "max", "min", "next", "object", "oct",
+        "open", "ord", "pow", "print", "range", "repr", "reversed",
+        "round", "set", "slice", "sorted", "str", "sum", "super", "tuple",
+        "type", "vars", "zip",
         "ArithmeticError", "AssertionError", "AttributeError",
         "BaseException", "BufferError", "ConnectionError",
         "DeprecationWarning", "EOFError", "Exception", "FileExistsError",
@@ -80,11 +62,6 @@ BUILTIN_EXCEPTIONS = frozenset(
         "UserWarning", "ValueError", "Warning", "ZeroDivisionError",
     }
 )
-
-#: Budget-method names forming the governed charging protocol (mirrors
-#: rules.BUDGET_METHODS; redefined here to keep this module importable
-#: without the per-file rule set).
-BUDGET_METHODS = frozenset({"tick", "charge_states", "charge", "check"})
 
 #: Builtin type names that may appear in parameter annotations; they
 #: resolve to "no program methods" rather than blocking narrowing.
@@ -146,20 +123,12 @@ class CallRecord:
 
     node: ast.Call
     #: "nested" | "function" | "constructor" | "builtin" | "module-attr"
-    #: | "method" | "param-call" | "dynamic"
+    #: | "method" | "dynamic"
     kind: str
     #: Display name for messages ("determinize", "cache.get", ...).
     display: str
     #: Qualnames of program functions this call may invoke.
     targets: tuple[str, ...] = ()
-    #: Dotted path for calls that leave the program ("os.path.join").
-    external: str | None = None
-    #: For kind="method": "self" | "param" | "local" | "global" | "expr".
-    receiver: str | None = None
-    #: Method/attribute name for attribute calls.
-    attr: str | None = None
-    #: Receiver variable name for method calls on a bare name.
-    receiver_name: str | None = None
 
 
 @dataclass
@@ -184,16 +153,10 @@ class FunctionNode:
     local_types: dict[str, tuple[str, ...]] = field(default_factory=dict)
     locals: frozenset[str] = frozenset()
     nested_defs: frozenset[str] = frozenset()
-    #: Local aliases of budget-protocol bound methods.
-    budget_aliases: frozenset[str] = frozenset()
-    #: Local aliases of imported-module attributes
-    #: (``int64 = _np.int64``): alias name -> dotted external path.
-    external_aliases: dict[str, str] = field(default_factory=dict)
-    annotated_shardable: bool = False
     calls: list[CallRecord] = field(default_factory=list)
     #: Program functions referenced by bare name without being called
     #: (callbacks registered with set_defaults(func=...), key=..., etc.);
-    #: used for reachability, not effect propagation.
+    #: used for reachability.
     references: tuple[str, ...] = ()
 
     @property
@@ -210,7 +173,6 @@ class ModuleInfo:
     import_aliases: dict[str, str] = field(default_factory=dict)
     member_imports: dict[str, str] = field(default_factory=dict)
     global_names: frozenset[str] = frozenset()
-    contextvars: frozenset[str] = frozenset()
     functions: dict[str, str] = field(default_factory=dict)
     classes: dict[str, dict[str, str]] = field(default_factory=dict)
 
@@ -273,66 +235,12 @@ def _param_info(
     return tuple(ordered), frozenset(kwonly), frozenset(kwonly_none)
 
 
-def _budget_aliases(node: ast.FunctionDef | ast.AsyncFunctionDef) -> frozenset[str]:
-    """Local names bound to budget-protocol bound methods
-    (``tick, charge = budget.tick, budget.charge``); calling one is the
-    governed charging protocol, not a dynamic call."""
-    out: set[str] = set()
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.Assign) or len(sub.targets) != 1:
-            continue
-        target = sub.targets[0]
-        pairs: list[tuple[ast.expr, ast.expr]]
-        if isinstance(target, ast.Name):
-            pairs = [(target, sub.value)]
-        elif (
-            isinstance(target, ast.Tuple)
-            and isinstance(sub.value, ast.Tuple)
-            and len(target.elts) == len(sub.value.elts)
-        ):
-            pairs = list(zip(target.elts, sub.value.elts))
-        else:
-            continue
-        for tgt, val in pairs:
-            if (
-                isinstance(tgt, ast.Name)
-                and isinstance(val, ast.Attribute)
-                and val.attr in BUDGET_METHODS
-                and isinstance(val.value, ast.Name)
-                and "budget" in val.value.id
-            ):
-                out.add(tgt.id)
-    return frozenset(out)
-
-
 def _expr_root(expr: ast.expr) -> str | None:
     """Base ``Name`` under an attribute/subscript/starred chain, if any."""
     current = expr
     while isinstance(current, (ast.Attribute, ast.Subscript, ast.Starred)):
         current = current.value
     return current.id if isinstance(current, ast.Name) else None
-
-
-def _is_contextvar_ctor(value: ast.expr) -> bool:
-    if not isinstance(value, ast.Call):
-        return False
-    func = value.func
-    if isinstance(func, ast.Name):
-        return func.id == "ContextVar"
-    if isinstance(func, ast.Attribute):
-        return func.attr == "ContextVar"
-    return False
-
-
-def is_annotated_shardable(
-    ctx: ModuleContext, node: ast.FunctionDef | ast.AsyncFunctionDef
-) -> bool:
-    """True iff *node* carries ``# repro-par: shardable`` on its ``def``
-    line or the line directly above it."""
-    for lineno in (node.lineno, node.lineno - 1):
-        if lineno >= 1 and SHARDABLE_RE.search(ctx.comment_text(lineno)):
-            return True
-    return False
 
 
 class Program:
@@ -359,21 +267,16 @@ class Program:
         name = module_name_for(ctx.relpath)
         info = ModuleInfo(name=name, ctx=ctx)
         globals_: set[str] = set()
-        contextvars: set[str] = set()
         for stmt in ctx.tree.body:
             if isinstance(stmt, ast.Assign):
                 for target in stmt.targets:
                     for leaf in ast.walk(target):
                         if isinstance(leaf, ast.Name):
                             globals_.add(leaf.id)
-                            if _is_contextvar_ctor(stmt.value):
-                                contextvars.add(leaf.id)
             elif isinstance(stmt, ast.AnnAssign) and isinstance(
                 stmt.target, ast.Name
             ):
                 globals_.add(stmt.target.id)
-                if stmt.value is not None and _is_contextvar_ctor(stmt.value):
-                    contextvars.add(stmt.target.id)
             elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 qualname = f"{name}.{stmt.name}"
                 info.functions[stmt.name] = qualname
@@ -399,7 +302,6 @@ class Program:
                     bound = alias.asname or alias.name
                     info.member_imports[bound] = f"{node.module}.{alias.name}"
         info.global_names = frozenset(globals_)
-        info.contextvars = frozenset(contextvars)
         self.modules[name] = info
 
     def _add_function(
@@ -431,8 +333,6 @@ class Program:
             param_types=_param_annotation_map(node),
             locals=locals_,
             nested_defs=nested,
-            budget_aliases=_budget_aliases(node),
-            annotated_shardable=is_annotated_shardable(ctx, node),
         )
 
     def _index_methods(self) -> None:
@@ -536,61 +436,9 @@ class Program:
             if name not in tainted and name not in fn.param_set
         }
 
-    def _infer_external_aliases(self, info: ModuleInfo, fn: FunctionNode) -> None:
-        """Record locals whose every binding aliases an imported-module
-        attribute (``int64 = _np.int64`` hot-loop localizations)."""
-        candidates: dict[str, set[str]] = {}
-        alias_stores: set[int] = set()
-        for sub in ast.walk(fn.node):
-            if not isinstance(sub, ast.Assign) or len(sub.targets) != 1:
-                continue
-            target = sub.targets[0]
-            pairs: list[tuple[ast.expr, ast.expr]]
-            if isinstance(target, ast.Name):
-                pairs = [(target, sub.value)]
-            elif (
-                isinstance(target, ast.Tuple)
-                and isinstance(sub.value, ast.Tuple)
-                and len(target.elts) == len(sub.value.elts)
-            ):
-                pairs = list(zip(target.elts, sub.value.elts))
-            else:
-                continue
-            for tgt, val in pairs:
-                if not (isinstance(tgt, ast.Name) and isinstance(val, ast.Attribute)):
-                    continue
-                chain: list[str] = [val.attr]
-                base: ast.expr = val.value
-                while isinstance(base, ast.Attribute):
-                    chain.append(base.attr)
-                    base = base.value
-                if not isinstance(base, ast.Name):
-                    continue
-                dotted_root = info.import_aliases.get(base.id)
-                if dotted_root is None:
-                    continue
-                dotted = ".".join([dotted_root, *reversed(chain)])
-                candidates.setdefault(tgt.id, set()).add(dotted)
-                alias_stores.add(id(tgt))
-        if not candidates:
-            return
-        for sub in ast.walk(fn.node):
-            if (
-                isinstance(sub, ast.Name)
-                and isinstance(sub.ctx, ast.Store)
-                and id(sub) not in alias_stores
-            ):
-                candidates.pop(sub.id, None)
-        fn.external_aliases = {
-            name: next(iter(dotted_set))
-            for name, dotted_set in candidates.items()
-            if len(dotted_set) == 1 and name not in fn.param_set
-        }
-
     def _resolve_function(self, fn: FunctionNode) -> None:
         info = self.modules[fn.module]
         self._infer_local_types(info, fn)
-        self._infer_external_aliases(info, fn)
         call_funcs: set[int] = set()
         for sub in ast.walk(fn.node):
             if isinstance(sub, ast.Call):
@@ -652,48 +500,14 @@ class Program:
                 return CallRecord(
                     node=call, kind="constructor", display=name, targets=ctor
                 )
-            return CallRecord(
-                node=call, kind="module-attr", display=name, external=dotted
-            )
+            return CallRecord(node=call, kind="module-attr", display=name)
         if name in info.import_aliases:
-            return CallRecord(
-                node=call,
-                kind="module-attr",
-                display=name,
-                external=info.import_aliases[name],
-            )
-        if (
-            name in PURE_BUILTINS
-            or name in IO_BUILTINS
-            or name in BUILTIN_EXCEPTIONS
-        ):
-            return CallRecord(node=call, kind="builtin", display=name, attr=name)
-        if name in fn.external_aliases:
-            return CallRecord(
-                node=call,
-                kind="module-attr",
-                display=name,
-                external=fn.external_aliases[name],
-            )
-        if name in fn.budget_aliases:
-            # ``tick = budget.tick; ... tick(n)``: the governed charging
-            # protocol through a hot-loop local alias.
-            return CallRecord(
-                node=call,
-                kind="method",
-                display=f"budget.{name}",
-                attr=name,
-                receiver="local",
-                receiver_name="budget",
-            )
-        if name in fn.param_set and name not in fn.locals:
-            # Calling a callable parameter: the effect belongs to whatever
-            # each caller passes in (resolved during effect propagation).
-            return CallRecord(
-                node=call, kind="param-call", display=f"{name}()", attr=name
-            )
-        # A local callable value (comprehension variable, assigned lambda)
-        # or an unrecognized global: effect-unknown.
+            return CallRecord(node=call, kind="module-attr", display=name)
+        if name in BUILTIN_NAMES:
+            return CallRecord(node=call, kind="builtin", display=name)
+        # A callable parameter, a local callable value (comprehension
+        # variable, assigned lambda, hot-loop alias) or an unrecognized
+        # global: nothing in the program it can be resolved to.
         return CallRecord(node=call, kind="dynamic", display=name)
 
     def _resolve_attr_call(
@@ -723,7 +537,6 @@ class Program:
                         kind="function",
                         display=f"{root}.{attr}",
                         targets=(target,),
-                        attr=attr,
                     )
                 ctor = self._constructor_targets(dotted)
                 if ctor is not None:
@@ -732,14 +545,9 @@ class Program:
                         kind="constructor",
                         display=f"{root}.{attr}",
                         targets=ctor,
-                        attr=attr,
                     )
                 return CallRecord(
-                    node=call,
-                    kind="module-attr",
-                    display=f"{root}.{attr}",
-                    external=dotted,
-                    attr=attr,
+                    node=call, kind="module-attr", display=f"{root}.{attr}"
                 )
             if not chain:
                 if (
@@ -751,13 +559,7 @@ class Program:
                     # ``object.__new__(cls)`` and friends: a method on a
                     # builtin type, never a program method.
                     return CallRecord(
-                        node=call,
-                        kind="method",
-                        display=f"{root}.{attr}",
-                        targets=(),
-                        receiver="expr",
-                        attr=attr,
-                        receiver_name=root,
+                        node=call, kind="method", display=f"{root}.{attr}"
                     )
                 if (
                     fn.class_name is not None
@@ -773,21 +575,12 @@ class Program:
                         kind="method",
                         display=f"self.{attr}",
                         targets=targets,
-                        receiver="self",
-                        attr=attr,
-                        receiver_name=root,
                     )
-                class_names: tuple[str, ...] = ()
-                if root in fn.param_set:
-                    receiver = "param"
-                    class_names = fn.param_types.get(root, ())
-                elif root in fn.locals:
-                    receiver = "local"
-                    class_names = fn.local_types.get(root, ())
-                elif root in info.global_names:
-                    receiver = "global"
-                else:
-                    receiver = "expr"
+                # An annotated parameter or a constructor-typed local
+                # narrows the by-name union to its classes' methods.
+                class_names = fn.param_types.get(root) or fn.local_types.get(
+                    root, ()
+                )
                 targets = self._narrowed_methods(info, class_names, attr)
                 if targets is None:
                     targets = self.methods_by_name.get(attr, ())
@@ -796,29 +589,10 @@ class Program:
                     kind="method",
                     display=f"{root}.{attr}",
                     targets=targets,
-                    receiver=receiver,
-                    attr=attr,
-                    receiver_name=root,
                 )
         # Method on a deeper expression (attribute chain, subscript, call
-        # result, ...).  Classify by the root name when one exists: a
-        # mutator on ``self.rows`` or ``edtd.rules[tau]`` still hits
-        # caller-visible state.
+        # result, ...): the conservative by-name union.
         root_name = _expr_root(func.value)
-        if (
-            fn.class_name is not None
-            and fn.params
-            and root_name == fn.params[0]
-        ):
-            receiver = "self"
-        elif root_name is not None and root_name in fn.param_set:
-            receiver = "param"
-        elif root_name is not None and root_name in fn.locals:
-            receiver = "local"
-        elif root_name is not None and root_name in info.global_names:
-            receiver = "global"
-        else:
-            receiver = "expr"
         display = (
             f"<expr>.{attr}" if root_name is None else f"{root_name}.(...).{attr}"
         )
@@ -827,9 +601,6 @@ class Program:
             kind="method",
             display=display,
             targets=self.methods_by_name.get(attr, ()),
-            receiver=receiver,
-            attr=attr,
-            receiver_name=root_name,
         )
 
     # -- queries -------------------------------------------------------

@@ -9,7 +9,7 @@ from collections.abc import Sequence
 from pathlib import Path
 
 from repro.analysis.baseline import Baseline, apply_baseline
-from repro.analysis.engine import analyze_paths, default_rules, load_contexts
+from repro.analysis.engine import analyze_paths, default_rules
 
 DEFAULT_BASELINE = "analysis-baseline.json"
 
@@ -19,8 +19,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.analysis",
         description=(
             "repro-lint: AST- and call-graph-based checker for the "
-            "repository's governor, kernel, determinism, and effect "
-            "invariants (rules R001-R011)."
+            "repository's governor, kernel, determinism, and cache "
+            "invariants (rules R001-R008, R010, R011)."
         ),
     )
     parser.add_argument(
@@ -65,41 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the rule catalog and exit",
     )
-    parser.add_argument(
-        "--effects-json",
-        metavar="FILE",
-        default=None,
-        help=(
-            "write the machine-readable whole-program effect report (the "
-            "parallel-sharding allowlist) to FILE ('-' for stdout) and exit"
-        ),
-    )
     return parser
-
-
-def _write_effects_report(paths: list[Path], destination: str) -> int:
-    """Build the call graph over *paths* and emit the effect report."""
-    from repro.analysis.callgraph import Program
-    from repro.analysis.effects import effect_report
-
-    ctxs, parse_errors = load_contexts(paths)
-    if parse_errors:
-        for finding in parse_errors:
-            print(finding.render(), file=sys.stderr)
-        return 1
-    report = effect_report(
-        Program.from_contexts(ctxs),
-        root=", ".join(str(p) for p in paths),
-    )
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if destination == "-":
-        print(text)
-    else:
-        functions = report["functions"]
-        count = len(functions) if isinstance(functions, list) else 0
-        Path(destination).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote effect report for {count} functions to {destination}")
-    return 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -123,9 +89,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     missing = [str(p) for p in targets if not p.exists()]
     if missing:
         parser.error(f"no such file or directory: {', '.join(missing)}")
-
-    if args.effects_json is not None:
-        return _write_effects_report(targets, args.effects_json)
 
     findings = analyze_paths(targets, rules=rules)
 

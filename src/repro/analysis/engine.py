@@ -25,11 +25,11 @@ the baseline file instead (:mod:`repro.analysis.baseline`).
 
 Whole-program rules
 -------------------
-Rules that need to see *every* module at once (call-graph reachability,
-effect inference — R008–R011) subclass :class:`ProgramRule` and receive a
-:class:`repro.analysis.callgraph.Program` built from all parsed module
-contexts.  Their findings still honor per-line pragmas in the module that
-owns the flagged line.
+Rules that need to see *every* module at once (call-graph reachability
+and cross-module checks — R008, R010, R011) subclass :class:`ProgramRule`
+and receive a :class:`repro.analysis.callgraph.Program` built from all
+parsed module contexts.  Their findings still honor per-line pragmas in
+the module that owns the flagged line.
 """
 
 from __future__ import annotations
@@ -96,7 +96,7 @@ class Rule:
 
 
 class ProgramRule(Rule):
-    """Base class for whole-program rules (R008–R011).
+    """Base class for whole-program rules (R008, R010, R011).
 
     A :class:`ProgramRule` is checked once per analysis run against a
     :class:`repro.analysis.callgraph.Program` built from every parsed

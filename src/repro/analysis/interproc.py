@@ -1,4 +1,4 @@
-"""Interprocedural rules R008–R011 (whole-program pass).
+"""Interprocedural rules R008, R010 and R011 (whole-program pass).
 
 These rules run over the :class:`repro.analysis.callgraph.Program` built
 from every analyzed module, closing the gaps the per-file rules
@@ -10,8 +10,6 @@ Rule      Name                     Invariant
 ``R008``  governance-escape        no path from a public ``repro.api`` /
                                    CLI entry point reaches an ungoverned
                                    worklist loop outside the R001 dirs
-``R009``  parallel-safety          ``# repro-par: shardable`` functions
-                                   transitively infer pure-modulo-budget
 ``R010``  cache-key-completeness   every memo-cache entry point's key
                                    reaches all behavior-affecting params
 ``R011``  twin-drift               ``*_reference`` oracles keep the same
@@ -25,7 +23,6 @@ import ast
 from collections.abc import Iterator
 
 from repro.analysis.callgraph import FunctionNode, Program
-from repro.analysis.effects import infer_effects
 from repro.analysis.engine import ProgramRule
 from repro.analysis.findings import Finding
 from repro.analysis.rules import (
@@ -97,49 +94,6 @@ class GovernanceEscapeRule(ProgramRule):
                     "worklist loop is reachable from public entry point(s) "
                     f"{entry_names} but runs without budget governance",
                 )
-
-
-# ----------------------------------------------------------------------
-# R009 — parallel safety
-# ----------------------------------------------------------------------
-
-class ParallelSafetyRule(ProgramRule):
-    """``# repro-par: shardable`` functions must infer pure-modulo-budget.
-
-    The annotation is a *claim* the future process-parallel executor
-    will rely on: the function may charge budgets, open spans, and go
-    through the sanctioned cache accessors, but must not write module
-    globals, read unkeyed ContextVars, mutate its arguments, perform
-    I/O, or call anything the analysis cannot resolve.  The effect
-    report (``--effects-json``) certifies exactly the annotated
-    functions whose inferred effect set is empty.
-    """
-
-    rule_id = "R009"
-    title = "parallel-safety"
-    hint = (
-        "remove the effect (or the '# repro-par: shardable' annotation); "
-        "see the origins listed in the message"
-    )
-
-    def check_program(self, program: Program) -> Iterator[Finding]:
-        results = infer_effects(program)
-        for fn in program.iter_functions():
-            if not fn.annotated_shardable:
-                continue
-            inferred = results[fn.qualname]
-            if not inferred.effects:
-                continue
-            details = "; ".join(
-                f"{effect} [{inferred.origins.get(effect, 'propagated')}]"
-                for effect in sorted(inferred.effects)
-            )
-            yield self.finding(
-                fn.ctx,
-                fn.node,
-                "function is annotated '# repro-par: shardable' but infers "
-                f"effects: {details}",
-            )
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +271,6 @@ class TwinDriftRule(ProgramRule):
 
 PROGRAM_RULES: tuple[type[ProgramRule], ...] = (
     GovernanceEscapeRule,
-    ParallelSafetyRule,
     CacheKeyCompletenessRule,
     TwinDriftRule,
 )

@@ -219,7 +219,6 @@ def _retag(dfa: DFA, tag: str) -> DFA:
     )
 
 
-# repro-par: shardable
 def _path_content(ctx: _PairContext, p: Pair, target: Pair, pairs: set) -> DFA:
     """Content of a ``("path", p)`` node: a word of ``d1(p[0])`` with exactly
     one marked child — either continuing the path or the swapped subtree."""
@@ -374,7 +373,6 @@ def non_violating(
     ).reduced()
 
 
-# repro-par: shardable
 def _avoiding(alphabet: frozenset, forbidden: frozenset) -> DFA:
     """DFA for ``(Sigma - forbidden)*`` over *alphabet*."""
     transitions = {
@@ -383,7 +381,6 @@ def _avoiding(alphabet: frozenset, forbidden: frozenset) -> DFA:
     return DFA({"ok"}, alphabet, transitions, "ok", {"ok"})
 
 
-# repro-par: shardable
 def _pair_typed(content: DFA, ctx: _PairContext, pair: Pair) -> DFA:
     """Lift a content DFA over Sigma to one over the pair types, assigning
     each child label ``a`` the type ``step(pair, a)``."""

@@ -157,8 +157,7 @@ def minimal_upper_approximation(
                         # so the union is determinized under the universal
                         # guide over that symbol set — guide-dead child labels
                         # are pruned *during* the subset construction instead
-                        # of restricted away afterwards (`_restrict_content`
-                        # remains the differential oracle for this pruning).
+                        # of restricted away afterwards.
                         rules[subset] = cached_guided_min_dfa(
                             union_nfa,
                             universal_guide(frozenset(outgoing.get(subset, ()))),
@@ -206,27 +205,6 @@ def minimal_upper_approximation(
     return result
 
 
-# repro-par: shardable
-def _restrict_content(nfa: NFA, allowed: frozenset) -> NFA:
-    """Drop *nfa* transitions whose symbol is not in *allowed*.
-
-    A pruning guide removes ancestor-automaton transitions into guide-dead
-    states, so the matching content models must drop those child labels
-    too — otherwise the DFA-based XSD would promise children the ancestor
-    automaton can no longer type.  On guide-valid documents the restriction
-    is invisible: a pruned child label never occurs under a guide-accepted
-    ancestor string.  Returns *nfa* itself when nothing is dropped so the
-    memo-cache key is unchanged on the universal-guide path.
-    """
-    transitions = {
-        key: dsts for key, dsts in nfa.transitions.items() if key[1] in allowed
-    }
-    if len(transitions) == len(nfa.transitions):
-        return nfa
-    return NFA(nfa.states, nfa.alphabet, transitions, nfa.initials, nfa.finals)
-
-
-# repro-par: shardable
 def _content_union(edtd: EDTD, subset: frozenset) -> NFA:
     """NFA for ``union over tau in subset of mu(d(tau))``."""
     parts = [

@@ -79,8 +79,8 @@ _CACHE_PROVIDERS: list[Callable[[], tuple[int, int]]] = []
 def register_cache_provider(provider: Callable[[], tuple[int, int]]) -> None:
     """Register a cumulative ``() -> (hits, misses)`` cache-stats source.
 
-    :mod:`repro.strings.kernels` registers its memo caches at import time;
-    other cache owners may do the same.  Spans snapshot the sum of all
+    :mod:`repro.strings.kernels` registers one provider for every memo
+    tier at import time; other cache owners may do the same.  Spans snapshot the sum of all
     providers on entry/exit and record the deltas as ``cache_hits`` /
     ``cache_misses`` attributes.
     """

@@ -28,7 +28,10 @@ loops on ints:
   content-model DFAs with hit/miss counters.  Cache hits *recharge* the
   active :class:`~repro.runtime.Budget` with the recorded construction
   cost, so governed runs trip at the same state counts whether or not
-  the cache is warm (governance stays deterministic).
+  the cache is warm (governance stays deterministic).  Every memo tier
+  of the library, here and in the guided and tree kernels, is a
+  ``_KernelCache`` in one registry: :func:`cache_stats` and
+  :func:`clear_caches` read and reset all of them.
 
 All loops charge the PR-1 budget in ``_FLUSH``-sized batches, keeping
 the governed/ungoverned overhead under the 5% ceiling enforced by
@@ -40,6 +43,7 @@ invalidation story.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Mapping
 from itertools import repeat
@@ -624,16 +628,23 @@ def nfa_includes(sup: "_NFA", sub: "_NFA", *, budget: Budget | None = None) -> b
 # Structural-hash memo cache
 # ----------------------------------------------------------------------
 
+#: Every memo tier in the process, by name.  A kernel module's tiers join
+#: when it is imported; weak references let a throwaway cache drop out
+#: once nothing holds it.
+_TIERS: weakref.WeakValueDictionary[str, _KernelCache] = weakref.WeakValueDictionary()
+
+
 class _KernelCache:
     """A bounded insertion-ordered memo cache with hit/miss counters.
 
     Values are ``(payload, states_cost, steps_cost)`` triples; the costs
     are what the original construction charged its budget, replayed on
     every hit so governed runs stay count-deterministic (see
-    :func:`cached_min_dfa`).
+    :func:`cached_min_dfa`).  Each instance registers itself in the tier
+    registry under *name*.
     """
 
-    __slots__ = ("name", "entries", "hits", "misses", "max_entries")
+    __slots__ = ("name", "entries", "hits", "misses", "max_entries", "__weakref__")
 
     def __init__(self, name: str, max_entries: int = 4096) -> None:
         self.name = name
@@ -641,6 +652,7 @@ class _KernelCache:
         self.hits = 0
         self.misses = 0
         self.max_entries = max_entries
+        _TIERS[name] = self
 
     def get(self, key: Any) -> tuple[Any, int, int] | None:
         entry = self.entries.get(key)
@@ -665,7 +677,7 @@ class _KernelCache:
         self.hits = 0
         self.misses = 0
 
-    def stats(self) -> dict[str, dict[str, int]]:
+    def stats(self) -> dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -678,27 +690,23 @@ _MIN_DFA_CACHE = _KernelCache("min_dfa")
 _CONTENT_CACHE = _KernelCache("content_model")
 
 
-def _kernel_cache_totals() -> tuple[int, int]:
-    return (
-        _MIN_DFA_CACHE.hits + _CONTENT_CACHE.hits,
-        _MIN_DFA_CACHE.misses + _CONTENT_CACHE.misses,
-    )
+def _memo_totals() -> tuple[int, int]:
+    tiers = list(_TIERS.values())
+    return sum(tier.hits for tier in tiers), sum(tier.misses for tier in tiers)
 
 
-_obs.register_cache_provider(_kernel_cache_totals)
+_obs.register_cache_provider(_memo_totals)
 
 
-def cache_stats() -> dict[str, dict]:
-    """Hit/miss/entry counters of every kernel cache, keyed by name."""
-    return {
-        cache.name: cache.stats() for cache in (_MIN_DFA_CACHE, _CONTENT_CACHE)
-    }
+def cache_stats() -> dict[str, dict[str, int]]:
+    """Hit/miss/entry counters of every memo tier, keyed by tier name."""
+    return {name: tier.stats() for name, tier in _TIERS.items()}
 
 
 def clear_caches() -> None:
-    """Drop all kernel cache entries and reset the counters."""
-    _MIN_DFA_CACHE.clear()
-    _CONTENT_CACHE.clear()
+    """Drop every memo tier's entries and reset its counters."""
+    for tier in _TIERS.values():
+        tier.clear()
 
 
 def canonical_repr(value: object) -> str:
@@ -854,7 +862,6 @@ def _memoized(
     return value
 
 
-# repro-par: shardable
 def cached_min_dfa(language: object, *, budget: Budget | None = None) -> "_DFA":
     """Memoized ``as_min_dfa``: coerce *language* to its minimal trim DFA,
     interning structurally-equal inputs.
@@ -880,7 +887,6 @@ def cached_min_dfa(language: object, *, budget: Budget | None = None) -> "_DFA":
     return _memoized(_MIN_DFA_CACHE, structural_key(language), build, budget)
 
 
-# repro-par: shardable
 def cached_content_model(
     language: object, types: frozenset[Hashable], *, budget: Budget | None = None
 ) -> "_DFA":

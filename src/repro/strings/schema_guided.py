@@ -68,6 +68,10 @@ from repro.strings.kernels import (
     _unmask,
     structural_key,
 )
+# Every memo tier is in the one registry of repro.strings.kernels; the
+# name stays bound here for readers that ask each kernel module for its
+# cache_stats() (wirebench/traced_server.py).
+from repro.strings.kernels import cache_stats as cache_stats
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy
     from collections.abc import Hashable
@@ -432,23 +436,6 @@ def _guided_scalar(
 # ----------------------------------------------------------------------
 
 _SG_MIN_CACHE = _KernelCache("schema_guided_min_dfa")
-
-
-def _sg_cache_totals() -> tuple[int, int]:
-    return _SG_MIN_CACHE.hits, _SG_MIN_CACHE.misses
-
-
-_obs.register_cache_provider(_sg_cache_totals)
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/entry counters of the schema-guided kernel cache."""
-    return {_SG_MIN_CACHE.name: _SG_MIN_CACHE.stats()}
-
-
-def clear_caches() -> None:
-    """Drop the schema-guided memo entries and reset the counters."""
-    _SG_MIN_CACHE.clear()
 
 
 def cached_guided_min_dfa(

@@ -9,12 +9,7 @@ from repro.tree_automata.inclusion import (
     edtd_universal,
     universal_edtd,
 )
-from repro.tree_automata.kernels import (
-    cached_bta_determinize,
-    cached_bta_from_edtd,
-    cache_stats as kernel_cache_stats,
-    clear_caches as clear_kernel_caches,
-)
+from repro.tree_automata.kernels import cached_bta_determinize, cached_bta_from_edtd
 from repro.tree_automata.monoid import (
     FiniteMonoid,
     MonoidForestAutomaton,
@@ -27,7 +22,6 @@ from repro.tree_automata.schema_guided import (
     GuidedBTADetCheckpoint,
     bta_determinize_guided,
     bta_guide_from_edtd,
-    cached_bta_determinize_guided,
     universal_bta_guide,
 )
 
@@ -45,15 +39,12 @@ __all__ = [
     "bta_from_edtd",
     "bta_guide_from_edtd",
     "cached_bta_determinize",
-    "cached_bta_determinize_guided",
     "universal_bta_guide",
     "cached_bta_from_edtd",
-    "clear_kernel_caches",
     "edtd_equivalent",
     "edtd_from_nta",
     "edtd_includes",
     "edtd_universal",
-    "kernel_cache_stats",
     "nta_from_edtd",
     "universal_edtd",
 ]

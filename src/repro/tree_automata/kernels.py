@@ -72,6 +72,10 @@ from repro.strings.kernels import (
     canonical_repr,
     _symbol_reprs,
 )
+# Every memo tier is in the one registry of repro.strings.kernels; the
+# name stays bound here for readers that ask each kernel module for its
+# cache_stats() (wirebench/traced_server.py).
+from repro.strings.kernels import cache_stats as cache_stats
 from repro.trees.xml_io import CLOSE, OPEN
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy
@@ -1051,29 +1055,6 @@ _DET_CACHE = _KernelCache("bta_determinize")
 _FROM_EDTD_CACHE = _KernelCache("bta_from_edtd")
 _INCL_CACHE = _KernelCache("bta_inclusion")
 _MONOID_CACHE = _KernelCache("edtd_monoid")
-
-_ALL_CACHES = (_DET_CACHE, _FROM_EDTD_CACHE, _INCL_CACHE, _MONOID_CACHE)
-
-
-def _kernel_cache_totals() -> tuple[int, int]:
-    return (
-        sum(cache.hits for cache in _ALL_CACHES),
-        sum(cache.misses for cache in _ALL_CACHES),
-    )
-
-
-_obs.register_cache_provider(_kernel_cache_totals)
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/entry counters of every tree-kernel cache, keyed by name."""
-    return {cache.name: cache.stats() for cache in _ALL_CACHES}
-
-
-def clear_caches() -> None:
-    """Drop all tree-kernel cache entries and reset the counters."""
-    for cache in _ALL_CACHES:
-        cache.clear()
 
 
 def cached_bta_determinize(bta: "_BTA", *, budget: Budget | None = None) -> "_BTA":

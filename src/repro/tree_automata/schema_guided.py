@@ -42,13 +42,13 @@ from typing import TYPE_CHECKING, Any
 from repro import observability as _obs
 from repro.errors import AutomatonError
 from repro.runtime.budget import Budget, budget_phase, resolve_budget
-from repro.strings.kernels import _FLUSH, _KernelCache, _mask_of, _memoized, _unmask
-from repro.tree_automata.kernels import (
-    BTADetCheckpoint,
-    _assemble_bta,
-    _coding_of,
-    bta_structural_key,
-)
+from repro.strings.kernels import _FLUSH, _mask_of, _unmask
+
+# Every memo tier is in the one registry of repro.strings.kernels; the
+# name stays bound here for readers that ask each kernel module for its
+# cache_stats() (wirebench/traced_server.py).
+from repro.strings.kernels import cache_stats as cache_stats
+from repro.tree_automata.kernels import BTADetCheckpoint, _assemble_bta, _coding_of
 
 if TYPE_CHECKING:  # pragma: no cover - runtime imports stay lazy
     from repro.schemas.edtd import EDTD as _EDTD
@@ -450,46 +450,3 @@ def _guided_worklist(
             budget.tick(pending, 0)
     return pairs, transitions
 
-
-# ----------------------------------------------------------------------
-# Memo cache (strategy folded into the key via the cache name)
-# ----------------------------------------------------------------------
-
-_SG_BTA_CACHE = _KernelCache("schema_guided_bta_det")
-
-
-def _sg_cache_totals() -> tuple[int, int]:
-    return (_SG_BTA_CACHE.hits, _SG_BTA_CACHE.misses)
-
-
-_obs.register_cache_provider(_sg_cache_totals)
-
-
-def cache_stats() -> dict[str, dict[str, int]]:
-    """Hit/miss/entry counters of the guided tree-kernel cache."""
-    return {_SG_BTA_CACHE.name: _SG_BTA_CACHE.stats()}
-
-
-def clear_caches() -> None:
-    """Drop the guided tree-kernel memo entries and reset the counters."""
-    _SG_BTA_CACHE.clear()
-
-
-def cached_bta_determinize_guided(
-    bta: "_BTA", guide: "_BTA", *, budget: Budget | None = None
-) -> "_BTA":
-    """Memoized :func:`bta_determinize_guided`, keyed by both structural
-    fingerprints; the cache name folds the strategy into the on-disk
-    artifact digest so blind and guided artifacts never collide.  Hits
-    replay the recorded budget cost."""
-    budget = resolve_budget(budget)
-    bta_key = bta_structural_key(bta)
-    guide_key = bta_structural_key(guide)
-    key = None
-    if bta_key is not None and guide_key is not None:
-        key = ("schema-guided", bta_key, guide_key)
-
-    def build(inner_budget: Budget | None) -> "_BTA":
-        return bta_determinize_guided(bta, guide, budget=inner_budget)
-
-    return _memoized(_SG_BTA_CACHE, key, build, budget)

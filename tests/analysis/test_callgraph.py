@@ -58,41 +58,6 @@ class TestResolutionKinds:
         assert calls["len"].kind == "builtin"
         assert calls["mystery_global"].kind == "dynamic"
 
-    def test_param_call(self):
-        program = _program(
-            ("m.py", "def apply(func, x):\n    return func(x)\n")
-        )
-        record = _calls(program, "m.apply")["func()"]
-        assert record.kind == "param-call"
-        assert record.attr == "func"
-
-    def test_budget_alias(self):
-        program = _program(
-            (
-                "m.py",
-                "def go(pending, budget):\n"
-                "    tick = budget.tick\n"
-                "    tick(len(pending))\n",
-            )
-        )
-        record = _calls(program, "m.go")["budget.tick"]
-        assert record.kind == "method"
-        assert record.receiver_name == "budget"
-
-    def test_external_alias(self):
-        program = _program(
-            (
-                "m.py",
-                "import numpy as _np\n"
-                "def go(x):\n"
-                "    int64 = _np.int64\n"
-                "    return int64(x)\n",
-            )
-        )
-        record = _calls(program, "m.go")["int64"]
-        assert record.kind == "module-attr"
-        assert record.external == "numpy.int64"
-
 
 class TestMethodNarrowing:
     TWO_CLASSES = (

@@ -1,10 +1,9 @@
-"""Golden-fixture coverage for the whole-program rules R008–R011.
+"""Golden-fixture coverage for the whole-program rules R008, R010, R011.
 
 Every rule is exercised both ways: a fixture that *fires* and the
 matching suppress path (``# ungoverned:`` for R008, a reasoned
 ``# repro-lint: disable=RXXX`` pragma for the rest), plus the silent
-"actually fine" variants (governed loop, pure function, complete key,
-matching twins).
+"actually fine" variants (governed loop, complete key, matching twins).
 """
 
 from __future__ import annotations
@@ -59,21 +58,6 @@ class TestR008GovernanceEscape:
         )
 
 
-class TestR009ParallelSafety:
-    def test_fires_on_effectful_shardable_claim(self, findings):
-        hits = _rule(findings, "R009")
-        assert len(hits) == 1
-        (hit,) = hits
-        assert hit.path.endswith("shardable.py")
-        assert "mutates-global" in hit.message
-        assert "global statement" in hit.message  # origin is explained
-
-    def test_pure_claim_and_waiver_are_silent(self, findings):
-        # `clean` certifies; `waived` performs I/O but carries a reasoned
-        # disable pragma; `unannotated` mutates args but never claimed.
-        assert len(_rule(findings, "R009")) == 1
-
-
 class TestR010CacheKeyCompleteness:
     def test_fires_when_key_drops_a_parameter(self, findings):
         hits = _rule(findings, "R010")
@@ -113,5 +97,5 @@ class TestR011TwinDrift:
 
 
 def test_fixture_dir_total(findings):
-    """Exactly the five designed findings — nothing else fires."""
-    assert len(findings) == 5
+    """Exactly the four designed findings — nothing else fires."""
+    assert len(findings) == 4

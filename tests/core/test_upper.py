@@ -249,16 +249,16 @@ class TestGuidedContentUnions:
             assert dumps(guided) == dumps(blind), edtd
 
     def test_guided_content_union_kernel_really_runs(self):
-        from repro.strings import schema_guided as sg
+        from repro.strings.kernels import cache_stats, clear_caches
 
-        sg.clear_caches()
+        clear_caches()
         minimal_upper_approximation(example_2_6(), strategy="schema-guided")
-        stats = sg.cache_stats()["schema_guided_min_dfa"]
+        stats = cache_stats()["schema_guided_min_dfa"]
         assert stats["misses"] > 0
         # A repeat run is pure memo hits: the key covers NFA and guide.
         before = stats["misses"]
         minimal_upper_approximation(example_2_6(), strategy="schema-guided")
-        after = sg.cache_stats()["schema_guided_min_dfa"]
+        after = cache_stats()["schema_guided_min_dfa"]
         assert after["misses"] == before
         assert after["hits"] > 0
 

@@ -38,23 +38,16 @@ from repro.api import (
     schema_includes,
     validate,
 )
-from repro.cache import ArtifactCache
+from repro.cache import DISABLED, ArtifactCache
 from repro.errors import ReproError
 from repro.families.hard import example_2_6
 from repro.faults import FaultPlan, FaultRule
 from repro.runtime import Budget
 from repro.schemas.text_format import dumps
-from repro.strings.kernels import clear_caches as _clear_string_kernel_caches
-from repro.strings.schema_guided import clear_caches as _clear_string_guided_caches
-from repro.tree_automata.schema_guided import clear_caches as _clear_tree_guided_caches
 
-
-def clear_caches():
-    """Reset every memo tier an operation under test may populate, so the
-    warm pass replays builds (and their governed fault points) honestly."""
-    _clear_string_kernel_caches()
-    _clear_string_guided_caches()
-    _clear_tree_guided_caches()
+# ``clear_caches`` resets every memo tier, so the warm pass replays builds
+# (and their governed fault points) honestly.
+from repro.strings.kernels import cache_stats, clear_caches
 
 # ----------------------------------------------------------------------
 # Operations under test
@@ -285,6 +278,27 @@ def test_fault_never_changes_the_answer(
         ]
         assert recorded, "injected faults left no span attribution"
     clear_caches()
+
+
+def test_clear_caches_resets_every_memo_tier():
+    """The warm pass replays a faulted build only if the build's memo tier
+    was cleared: string and tree tiers alike must drop to zero."""
+    approximate_upper(example_2_6(), strategy="schema-guided", cache=DISABLED)
+    definability(example_2_6(), cache=DISABLED)
+    stats = cache_stats()
+    assert {
+        "min_dfa",
+        "content_model",
+        "schema_guided_min_dfa",
+        "bta_determinize",
+        "bta_from_edtd",
+        "bta_inclusion",
+        "edtd_monoid",
+    } <= set(stats)
+    assert stats["bta_from_edtd"]["entries"] and stats["bta_inclusion"]["entries"]
+    clear_caches()
+    for name, tier in cache_stats().items():
+        assert (tier["entries"], tier["hits"], tier["misses"]) == (0, 0, 0), name
 
 
 def test_injected_volume_floor():

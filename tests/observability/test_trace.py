@@ -23,13 +23,11 @@ from repro.observability import METRICS, NULL_SPAN, Trace, construction_span
 from repro.observability.schema import TraceSchemaError, validate_trace
 from repro.runtime import Budget
 from repro.strings.kernels import clear_caches
-from repro.tree_automata.kernels import clear_caches as clear_tree_caches
 
 
 @pytest.fixture(autouse=True)
 def fresh_observability():
     clear_caches()
-    clear_tree_caches()
     METRICS.reset()
     yield
     METRICS.reset()

@@ -308,6 +308,13 @@ class TestMemoCache:
         assert len(cache.entries) == 4
         assert set(cache.entries) == {6, 7, 8, 9}
 
+    def test_registry_holds_live_tiers_only(self):
+        cache = _KernelCache("throwaway")
+        cache.store("k", ("v", 0, 0))
+        assert cache_stats()["throwaway"]["entries"] == 1
+        del cache
+        assert "throwaway" not in cache_stats()
+
     def test_uncacheable_inputs_still_work(self):
         class Odd:
             """Two distinct symbols with the same repr — uncacheable."""

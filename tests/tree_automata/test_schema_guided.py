@@ -5,7 +5,7 @@ language equivalence relative to the guide (exact, via the emptiness
 procedure on product automata), state-for-state agreement under the
 universal guide, widening monotonicity, a brute-force reachability
 oracle for pruned subsets, budget/checkpoint contract parity with the
-blind worklist, and memo-cache identity.
+blind worklist.
 """
 
 from __future__ import annotations
@@ -24,9 +24,6 @@ from repro.tree_automata.kernels import BTADetCheckpoint
 from repro.tree_automata.schema_guided import (
     GuidedBTADetCheckpoint,
     bta_guide_from_edtd,
-    cache_stats,
-    cached_bta_determinize_guided,
-    clear_caches,
     universal_bta_guide,
 )
 from tests.strategies import examples, single_type_edtds
@@ -219,24 +216,3 @@ def test_strategy_validation():
     with pytest.raises(AutomatonError):
         bta.determinize(strategy="schema-guided", guide=bta)
 
-
-# ----------------------------------------------------------------------
-# Memo cache: hits return the identical artifact
-# ----------------------------------------------------------------------
-
-def test_memo_cache_hit_returns_identical_artifact():
-    clear_caches()
-    bta = bta_from_edtd(example_2_6())
-    guide = bta_guide_from_edtd(example_2_6())
-    first = cached_bta_determinize_guided(bta, guide)
-    second = cached_bta_determinize_guided(bta, guide)
-    assert second is first
-    stats = cache_stats()["schema_guided_bta_det"]
-    assert stats["hits"] >= 1
-
-    # A different guide keys a different entry.
-    other = cached_bta_determinize_guided(bta, universal_bta_guide(bta.alphabet))
-    assert other is not first
-    direct = bta.determinize(strategy="schema-guided", guide=guide)
-    assert set(direct.states) == set(first.states)
-    assert direct.internal_rules == first.internal_rules

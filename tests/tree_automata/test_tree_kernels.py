@@ -26,6 +26,7 @@ from repro.errors import BudgetExceededError
 from repro.families.hard import example_2_6, theorem_3_2_family
 from repro.families.random_schemas import random_edtd
 from repro.runtime.budget import Budget
+from repro.strings.kernels import cache_stats, clear_caches
 from repro.tree_automata.bta import BTA
 from repro.tree_automata.inclusion import (
     bta_difference_empty,
@@ -35,10 +36,8 @@ from repro.tree_automata.inclusion import (
 )
 from repro.tree_automata.kernels import (
     bta_structural_key,
-    cache_stats,
     cached_bta_determinize,
     cached_bta_from_edtd,
-    clear_caches,
 )
 from repro.tree_automata.monoid import monoid_from_edtd
 from repro.trees import Tree, leaf
